@@ -21,7 +21,7 @@ import numpy as np
 from ._guards import check_guard
 from .hilbert import PureState
 from .orders import LinearOrder, enumerate_orders, reverse_order
-from .social_choice import VotingRule, all_profiles
+from .social_choice import VotingRule, profile_domain
 
 AXIS_TOL = 1e-12
 VIOLATION_TOL = 1e-9
@@ -321,8 +321,8 @@ def arrow_scenario_table(
     if embedding is None:
         embedding = default_embedding()
 
-    profiles = list(all_profiles(m, n))
-    total = len(profiles)
+    domain = profile_domain(m, n)
+    total = len(domain.ballot_ranks)
     weights = np.full(total, 1.0 / total)
     if distribution is not None:
         weights = np.zeros(total)
@@ -335,23 +335,20 @@ def arrow_scenario_table(
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("distribution must be nonnegative and sum to 1")
 
-    w_joint = np.zeros((3, 3))
-    prod_sum = np.zeros((3, 3))
-    w_alice = np.zeros(3)
-    plus_alice = np.zeros(3)
-    w_bob = np.zeros(3)
-    plus_bob = np.zeros(3)
-    for profile, w in zip(profiles, weights):
-        if w == 0.0:
-            continue
-        ka, sa = embedding.embed(profile[watched])
-        kb, sb = embedding.embed(rule.outcome(profile))
-        w_joint[ka, kb] += w
-        prod_sum[ka, kb] += w * sa * sb
-        w_alice[ka] += w
-        plus_alice[ka] += w if sa > 0 else 0.0
-        w_bob[kb] += w
-        plus_bob[kb] += w if sb > 0 else 0.0
+    used = weights > 0
+    outcomes = rule.outcome_ranks[used]
+    if (outcomes < 0).any():
+        raise ValueError("distribution weighs a profile outside the rule's domain")
+    # (axis, sign) per ballot rank; bincount adds in profile order
+    embedded = np.array([embedding.embed(b) for b in enumerate_orders(3)])
+    (ka, sa), (kb, sb) = embedded[domain.ballot_ranks[used, watched]].T, embedded[outcomes].T
+    w = weights[used]
+    w_joint = np.bincount(3 * ka + kb, w, 9).reshape(3, 3)
+    prod_sum = np.bincount(3 * ka + kb, w * sa * sb, 9).reshape(3, 3)
+    w_alice = np.bincount(ka, w, 3)
+    plus_alice = np.bincount(ka, w * (sa > 0), 3)
+    w_bob = np.bincount(kb, w, 3)
+    plus_bob = np.bincount(kb, w * (sb > 0), 3)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         E = np.where(w_joint > 0, prod_sum / np.where(w_joint > 0, w_joint, 1.0), np.nan)
@@ -438,7 +435,8 @@ def maximize_violation(
     geometrically shrinking step; once the step collapses the search
     restarts from a seeded random point, keeping the best axes seen.  The
     result never falls below the value at the initial axes, and a fixed
-    (seed, budget) pair always reproduces the same output.
+    (seed, budget) pair always reproduces the same output.  CH is maximized
+    by the same CHSH search: CH = (S - 2)/4 on any state and axes.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1 evaluation")
@@ -463,15 +461,13 @@ def maximize_violation(
             theta, phi = _angles_from_axis(axis)
             angles.extend([theta, phi])
 
-    evaluate = chsh_value if expr == "chsh" else ch_value
-
     evals = 0
 
     def value_at(angs):
         nonlocal evals
         evals += 1
         axes = [_axis_from_angles(angs[2 * i], angs[2 * i + 1]) for i in range(4)]
-        return evaluate(state, *axes).value
+        return chsh_value(state, *axes).value
 
     best_angles = list(angles)
     best_value = value_at(best_angles)
@@ -507,4 +503,6 @@ def maximize_violation(
                 step = pi / 4
 
     axes = tuple(_axis_from_angles(best_angles[2 * i], best_angles[2 * i + 1]) for i in range(4))
+    if expr == "ch":
+        best_value = (best_value - 2.0) / 4.0
     return axes, float(best_value)

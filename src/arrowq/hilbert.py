@@ -10,7 +10,7 @@ index = ancilla * d^m + sum(p_i * d^(m-1-i)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, factorial, isclose
 from typing import Optional, Sequence
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from ._guards import check_guard
 from .orders import LinearOrder, alternative_pairs, order_rank, prefers, validate_order
-from .social_choice import VotingRule, classical_circuit_table, projection_rule
+from .social_choice import VotingRule, classical_circuit_table, profile_domain, projection_rule
 
 NORM_TOL = 1e-10
 
@@ -184,14 +184,10 @@ def is_dictatorial_circuit(circuit: UnitaryCircuit, voter: int) -> bool:
     m = circuit.registers - 1
     if not 0 <= voter < m:
         raise ValueError(f"voter {voter} out of range for {m} registers")
-    d, nb = circuit.space.d, circuit.space.ballots
-    for profile in product(range(nb), repeat=m):
-        flat = 0
-        for p in profile:
-            flat = flat * d + p
-        if circuit.perm[flat] != profile[voter] * d ** m + flat:
-            return False
-    return True
+    d = circuit.space.d
+    domain = profile_domain(m, circuit.space.n)
+    flat = domain.flat_index(d)
+    return bool(np.array_equal(circuit.perm[flat], domain.ballot_ranks[:, voter] * d ** m + flat))
 
 
 # ---- cloning ----
@@ -216,29 +212,19 @@ def cloning_fidelity(
     d = circuit.space.d
     if psi.dim != d or psi.registers != 1:
         raise ValueError("psi must be a single-register state of the circuit's space")
-    others = [i for i in range(m) if i != voter]
     if fillers is None:
-        fillers = [tuple(range(circuit.space.n))] * len(others)
-    if len(fillers) != len(others):
-        raise ValueError(f"expected {len(others)} filler ballots")
-    filler_rank = {
-        reg: order_rank(validate_order(f, circuit.space.n))
-        for reg, f in zip(others, fillers)
-    }
-
-    def flat_index(ancilla: int, voter_value: int) -> int:
-        idx = ancilla
-        for reg in range(m):
-            idx = idx * d + (voter_value if reg == voter else filler_rank[reg])
-        return idx
-
-    size = d ** (m + 1)
-    amps_in = np.zeros(size, dtype=complex)
-    ideal = np.zeros(size, dtype=complex)
-    for s in range(d):
-        amps_in[flat_index(0, s)] = psi.amplitudes[s]
-        for t in range(d):
-            ideal[flat_index(s, t)] = psi.amplitudes[s] * psi.amplitudes[t]
+        fillers = [tuple(range(circuit.space.n))] * (m - 1)
+    if len(fillers) != m - 1:
+        raise ValueError(f"expected {m - 1} filler ballots")
+    digits = [order_rank(validate_order(f, circuit.space.n)) for f in fillers]
+    digits.insert(voter, 0)
+    # flat index of ancilla 0, the fillers, and each value of the voter register
+    base = sum(r * d ** (m - 1 - i) for i, r in enumerate(digits))
+    swept = base + np.arange(d) * d ** (m - 1 - voter)
+    amps_in = np.zeros(d ** (m + 1), dtype=complex)
+    amps_in[swept] = psi.amplitudes
+    ideal = np.zeros_like(amps_in)
+    ideal[np.arange(d)[:, None] * d ** m + swept] = np.outer(psi.amplitudes, psi.amplitudes)
     actual = circuit.apply(PureState(amps_in, d, m + 1))
     return float(abs(np.vdot(ideal, actual.amplitudes)) ** 2)
 
@@ -348,6 +334,8 @@ class KSInstance:
             raise ValueError("coloring must assign a bit to every vector")
         if any(c not in (0, 1) for c in self.coloring):
             raise ValueError("coloring bits must be 0 or 1")
+        if any(not 0 <= i < vecs.shape[0] for basis in self.bases for i in basis):
+            raise ValueError(f"basis indices must lie in 0..{vecs.shape[0] - 1}")
         norms = np.linalg.norm(vecs, axis=1)
         if vecs.shape[0] and np.max(np.abs(norms - 1.0)) > NORM_TOL:
             raise ValueError("all vectors must be unit length")

@@ -7,12 +7,17 @@ pairwise decomposition: one Boolean aggregator per unordered alternative
 pair, mapping the m-bit vector of voter preferences on that pair to the
 collective bit.  The pairwise form satisfies IIA by construction; its
 outcome is a valid ranking only when the induced tournament is acyclic.
+
+The predicates read a shared ProfileDomain (every profile as arrays) and
+a rule's outcome ranks.  They quantify over the profiles the rule decides,
+those without a None entry or a cyclic tournament, so partial tables work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from itertools import combinations, product
 from math import factorial
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -30,6 +35,9 @@ from .orders import (
 )
 
 Profile = tuple[LinearOrder, ...]
+
+# Largest profile count (n!)^m a ProfileDomain is built for (README: Size guards).
+MAX_PROFILES = 1 << 19
 
 
 class IntransitiveOutcomeError(ValueError):
@@ -84,6 +92,53 @@ def order_from_pair_bits(bits: Sequence[int], n: int) -> LinearOrder:
         if prefers(ranking, a, b) != bool(bits[k]):
             raise IntransitiveOutcomeError(f"pair bits {tuple(bits)} contain a cycle")
     return ranking
+
+
+class ProfileDomain:
+    """All (n!)^m profiles as arrays, one row per profile in all_profiles
+    order; the arrays are read-only because profile_domain shares them.
+
+    ballot_ranks[j, i]: order_rank of voter i's ballot in profile j.
+    pair_inputs[j, k]: pair_input of profile j on the k-th alternative pair.
+    ballot_bits[r, k]: ballot r ranks a above b, for the k-th pair (a, b).
+    """
+
+    def __init__(self, m: int, n: int):
+        self.orders = enumerate_orders(n)
+        nb = len(self.orders)
+        check_guard(nb ** m, MAX_PROFILES, "profile count (n!)^m")
+        position = np.argsort(self.orders, axis=1)
+        a, b = np.array(alternative_pairs(n), dtype=np.int64).reshape(-1, 2).T
+        self.ballot_bits = position[:, a] < position[:, b]
+        self.ballot_ranks = np.indices((nb,) * m).reshape(m, -1).T
+        # the narrowest unsigned type that holds m bits keeps temporaries small
+        bits = self.ballot_bits.astype(np.min_scalar_type((1 << m) - 1))
+        self.pair_inputs = sum(bits[self.ballot_ranks[:, i]] << i for i in range(m))
+        # ballots sorted by their pair bits read as a binary number, for decode
+        self._bit_weights = 1 << np.arange(len(a))
+        codes = self.ballot_bits @ self._bit_weights
+        self._code_order = np.argsort(codes)
+        self._sorted_codes = codes[self._code_order]
+        for array in (self.ballot_bits, self.ballot_ranks, self.pair_inputs):
+            array.flags.writeable = False
+
+    def profile(self, j: int) -> Profile:
+        return tuple(self.orders[r] for r in self.ballot_ranks[j])
+
+    def flat_index(self, d: int) -> np.ndarray:
+        """Each profile's ballot ranks read as base-d digits, voter 0 most
+        significant: the voter-register index of circuit tables."""
+        return self.ballot_ranks @ d ** np.arange(self.ballot_ranks.shape[1] - 1, -1, -1)
+
+    def decode(self, bits: np.ndarray) -> np.ndarray:
+        """Ballot rank of each row of pair bits (columns in pair order),
+        -1 where the bits form a cyclic tournament."""
+        codes = bits @ self._bit_weights
+        at = np.minimum(np.searchsorted(self._sorted_codes, codes), len(self.orders) - 1)
+        return np.where(self._sorted_codes[at] == codes, self._code_order[at], -1)
+
+
+profile_domain = lru_cache(maxsize=8)(ProfileDomain)
 
 
 # ---- voting rules ----
@@ -141,23 +196,31 @@ class VotingRule:
             raise ValueError(f"profile {profile} is outside the rule's domain")
         return out
 
-    def is_total(self) -> bool:
+    @cached_property
+    def outcome_ranks(self) -> np.ndarray:
+        """Read-only order_rank of the outcome at every profile, -1 where the
+        rule is undecided: a None entry or a cyclic pairwise tournament."""
+        m, n = self.voters, self.alternatives
         if self.tables is not None:
-            # tables always vote on every pair, but a cyclic tournament
-            # at some profile still leaves no linear outcome there
-            for profile in all_profiles(self.voters, self.alternatives):
-                try:
-                    self.outcome(profile)
-                except IntransitiveOutcomeError:
-                    return False
-            return True
-        return all(out is not None for out in self.outcomes)
+            domain = profile_domain(m, n)
+            tables = np.array(self.tables, dtype=np.int64).reshape(-1, 1 << m)
+            ranks = domain.decode(tables[np.arange(len(tables)), domain.pair_inputs])
+        else:
+            rank = {order: r for r, order in enumerate(enumerate_orders(n))}
+            ranks = np.array([-1 if out is None else rank[tuple(out)] for out in self.outcomes])
+        ranks.flags.writeable = False
+        return ranks
+
+    def is_total(self) -> bool:
+        return bool((self.outcome_ranks >= 0).all())
 
     def as_table(self) -> "VotingRule":
-        """Materialize the outcome table (identity on table-form rules)."""
+        """Materialize the outcome table (identity on table-form rules);
+        profiles where the pairwise tournament cycles get None entries."""
         if self.outcomes is not None:
             return self
-        outs = tuple(self.outcome(p) for p in all_profiles(self.voters, self.alternatives))
+        orders = enumerate_orders(self.alternatives)
+        outs = tuple(orders[r] if r >= 0 else None for r in self.outcome_ranks.tolist())
         return VotingRule(self.voters, self.alternatives, outcomes=outs)
 
 
@@ -213,49 +276,40 @@ def pairwise_majority_rule(m: int, n: int) -> VotingRule:
 # ---- fairness predicates ----
 
 def check_pareto(rule: VotingRule):
-    """(holds, witness): witness is the first (profile, a, b) where a
-    unanimous preference for a over b is overridden."""
-    m, n = rule.voters, rule.alternatives
-    if rule.tables is not None:
-        # unanimity inputs are the all-zeros and all-ones vectors
-        full = (1 << m) - 1
-        for k, (a, b) in enumerate(alternative_pairs(n)):
-            if rule.tables[k][full] != 1 or rule.tables[k][0] != 0:
-                break
-        else:
-            return True, None
-    for profile in all_profiles(m, n):
-        out = rule.outcome(profile)
-        for a, b in alternative_pairs(n):
-            v = pair_input(profile, a, b)
-            if v == (1 << m) - 1 and not prefers(out, a, b):
-                return False, (profile, a, b)
-            if v == 0 and prefers(out, a, b):
-                return False, (profile, b, a)
-    return True, None
+    """(holds, witness): witness is the first decided (profile, a, b), in
+    profile then pair order, where a unanimous a-over-b is overridden."""
+    domain = profile_domain(rule.voters, rule.alternatives)
+    ranks, inputs = rule.outcome_ranks, domain.pair_inputs
+    bits = domain.ballot_bits[ranks]
+    full = (1 << rule.voters) - 1
+    overridden = (ranks >= 0)[:, None] & np.where(bits, inputs == 0, inputs == full)
+    if not overridden.any():
+        return True, None
+    j, k = divmod(int(overridden.argmax()), overridden.shape[1])
+    a, b = alternative_pairs(rule.alternatives)[k]
+    if bits[j, k]:
+        a, b = b, a
+    return False, (domain.profile(j), a, b)
 
 
 def check_iia(rule: VotingRule):
-    """(holds, witness): witness is a (p, q, a, b) where the profiles agree
-    on the pair's restriction but the outcomes do not.
+    """(holds, witness): witness is the first (p, q, a, b), by pair then
+    by q, where two decided profiles agree on the pair's restriction but
+    the outcomes do not.
 
-    Pairwise rules satisfy IIA by construction.  Table rules are checked by
-    grouping profiles on their per-pair voter vectors, so the scan is
-    linear in the profile count rather than quadratic.
+    Pairwise rules satisfy IIA by construction.  Profiles are grouped on
+    their per-pair voter vectors, so the scan is linear in the profile
+    count rather than quadratic.
     """
-    if rule.tables is not None:
-        return True, None
-    m, n = rule.voters, rule.alternatives
-    for a, b in alternative_pairs(n):
-        seen = {}
-        for profile in all_profiles(m, n):
-            out = rule.outcome(profile)
-            v = pair_input(profile, a, b)
-            bit = prefers(out, a, b)
-            if v not in seen:
-                seen[v] = (profile, bit)
-            elif seen[v][1] != bit:
-                return False, (seen[v][0], profile, a, b)
+    domain = profile_domain(rule.voters, rule.alternatives)
+    rows = np.flatnonzero(rule.outcome_ranks >= 0)
+    inputs, bits = domain.pair_inputs[rows], domain.ballot_bits[rule.outcome_ranks[rows]]
+    for k, (a, b) in enumerate(alternative_pairs(rule.alternatives)):
+        _, first, group = np.unique(inputs[:, k], return_index=True, return_inverse=True)
+        differs = bits[:, k] != bits[first[group], k]
+        if differs.any():
+            q = differs.argmax()
+            return False, (domain.profile(rows[first[group[q]]]), domain.profile(rows[q]), a, b)
     return True, None
 
 
@@ -269,48 +323,27 @@ def check_ud_triples(rule: VotingRule) -> bool:
     alternatives is realized by some profile in the rule's domain.  Implied
     by the full-domain check; meaningful for partial table rules."""
     m, n = rule.voters, rule.alternatives
-    if rule.is_total():
-        return True
-
-    def decided(profile) -> bool:
-        # undefined either way: a cycle in table form, a None entry otherwise
-        try:
-            rule.outcome(profile)
-        except ValueError:
+    inputs = profile_domain(m, n).pair_inputs[rule.outcome_ranks >= 0]
+    k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
+    for x, y, z in combinations(range(n), 3):
+        # the voters' rankings of x, y, z are fixed by their three pair vectors
+        realized = np.unique(inputs[:, [k[x, y], k[x, z], k[y, z]]], axis=0)
+        if len(realized) < factorial(3) ** m:
             return False
-        return True
+    return len(inputs) > 0
 
-    if n < 3:
-        return any(decided(p) for p in all_profiles(m, n))
-    domain = [p for p in all_profiles(m, n) if decided(p)]
-    patterns_needed = factorial(3) ** m
-    for x in range(n):
-        for y in range(x + 1, n):
-            for z in range(y + 1, n):
-                realized = set()
-                for p in domain:
-                    restricted = tuple(
-                        tuple(sorted((x, y, z), key=ballot.index)) for ballot in p
-                    )
-                    realized.add(restricted)
-                if len(realized) < patterns_needed:
-                    return False
-    return True
+
+def _copying_voters(rule: VotingRule) -> np.ndarray:
+    """Per voter: the outcome is that voter's ballot at every decided profile."""
+    ranks = rule.outcome_ranks[:, None]
+    ballots = profile_domain(rule.voters, rule.alternatives).ballot_ranks
+    return ((ballots == ranks) | (ranks < 0)).all(axis=0)
 
 
 def find_dictator(rule: VotingRule) -> Optional[int]:
-    """Least voter whose ballot equals the outcome on every profile."""
-    m, n = rule.voters, rule.alternatives
-    if rule.tables is not None:
-        for i in range(m):
-            proj = tuple((v >> i) & 1 for v in range(1 << m))
-            if all(t == proj for t in rule.tables):
-                return i
-        return None
-    for i in range(m):
-        if all(rule.outcome(p) == p[i] for p in all_profiles(m, n)):
-            return i
-    return None
+    """Least voter whose ballot is the outcome at every decided profile."""
+    voters = np.flatnonzero(_copying_voters(rule))
+    return int(voters[0]) if voters.size else None
 
 
 # ---- reports ----
@@ -356,10 +389,7 @@ def arrow_report(rule: VotingRule) -> ArrowReport:
     iia, iw = check_iia(rule)
     ud = check_ud(rule)
     dictator = find_dictator(rule)
-    m, n = rule.voters, rule.alternatives
-    per_voter = tuple(
-        all(rule.outcome(p) == p[i] for p in all_profiles(m, n)) for i in range(m)
-    )
+    per_voter = tuple(bool(hit) for hit in _copying_voters(rule))
     return ArrowReport(pareto, pw, iia, iw, ud, dictator, per_voter)
 
 
@@ -382,13 +412,10 @@ def enumerate_fair_rules(m: int, n: int) -> list[VotingRule]:
 
     pairs = alternative_pairs(n)
     pair_index = {p: k for k, p in enumerate(pairs)}
-    profiles = list(all_profiles(m, n))
     size = 1 << m
 
-    # inputs[k][j] = voter bit-vector of profile j on pair k
-    inputs = [
-        [pair_input(p, a, b) for p in profiles] for (a, b) in pairs
-    ]
+    # inputs[k][j] = voter bit-vector of profile j on pair k, as lists for the scalar scan
+    inputs = profile_domain(m, n).pair_inputs.T.tolist()
     # per pair (y,z): the (x,y) and (x,z) table positions for each x < y
     sources = {
         k: [(pair_index[(x, y)], pair_index[(x, z)]) for x in range(y)]
@@ -402,7 +429,7 @@ def enumerate_fair_rules(m: int, n: int) -> list[VotingRule]:
         forced = {0: 0, size - 1: 1}
         for kxy, kxz in sources[k]:
             txy, txz = assigned[kxy], assigned[kxz]
-            for j in range(len(profiles)):
+            for j in range(len(inputs[k])):
                 bxy = txy[inputs[kxy][j]]
                 bxz = txz[inputs[kxz][j]]
                 if bxy != bxz:
@@ -442,6 +469,7 @@ class ArrowVerification:
     all_dictatorial: bool
     dictators: tuple[int, ...]
     rule_dictators: tuple[Optional[int], ...]
+    rules: tuple[VotingRule, ...] = field(repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -464,7 +492,7 @@ def verify_arrow(m: int, n: int) -> ArrowVerification:
     per_rule = tuple(find_dictator(r) for r in rules)
     dictators = tuple(sorted({d for d in per_rule if d is not None}))
     all_dict = all(d is not None for d in per_rule)
-    return ArrowVerification(m, n, len(rules), all_dict, dictators, per_rule)
+    return ArrowVerification(m, n, len(rules), all_dict, dictators, per_rule, tuple(rules))
 
 
 # ---- reversible circuit table ----
@@ -480,26 +508,20 @@ def classical_circuit_table(rule: VotingRule, d: Optional[int] = None) -> np.nda
     most significant digit, voter m-1 the least.
     """
     m, n = rule.voters, rule.alternatives
-    if not rule.is_total():
-        raise ValueError("circuit table needs a total rule")
     nballots = factorial(n)
     if d is None:
         d = nballots
     if d < nballots:
         raise ValueError(f"register size {d} cannot hold {nballots} ballots")
     check_guard(d ** (m + 1), 4096, "circuit table size d^(m+1)")
+    if not rule.is_total():
+        raise ValueError("circuit table needs a total rule")
 
     shifts = np.zeros(d ** m, dtype=np.int64)
-    for profile in all_profiles(m, n):
-        idx = 0
-        for ballot in profile:
-            idx = idx * d + order_rank(ballot)
-        shifts[idx] = order_rank(rule.outcome(profile))
-
+    shifts[profile_domain(m, n).flat_index(d)] = rule.outcome_ranks
     block = np.arange(d ** m, dtype=np.int64)
-    perm = np.empty(d ** (m + 1), dtype=np.int64)
-    for a in range(d):
-        perm[a * d ** m + block] = ((a + shifts) % d) * d ** m + block
+    ancilla = np.arange(d, dtype=np.int64)[:, None]
+    perm = (((ancilla + shifts) % d) * d ** m + block).ravel()
 
     # reversibility: every output tuple hit exactly once
     if not np.array_equal(np.sort(perm), np.arange(d ** (m + 1))):

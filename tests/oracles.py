@@ -136,3 +136,36 @@ def grid_minimum(fn, lo, hi, points):
         if v < best_v:
             best_x, best_v = x, v
     return best_x, best_v
+
+
+def first_pareto_violation(outcomes, profiles, n):
+    """First (profile, a, b), in profile then pair order, where every voter
+    ranks a above b but the outcome does not; outcomes[j] belongs to
+    profiles[j], and profiles whose outcome is None are skipped."""
+    for profile, out in zip(profiles, outcomes):
+        if out is None:
+            continue
+        for a, b in unordered_pairs(n):
+            if all(ranks_above(x, a, b) for x in profile) and not ranks_above(out, a, b):
+                return (profile, a, b)
+            if all(ranks_above(x, b, a) for x in profile) and ranks_above(out, a, b):
+                return (profile, b, a)
+    return None
+
+
+def first_iia_violation(outcomes, profiles, n):
+    """First (p, q, a, b): the first pair on which some profile q's outcome
+    disagrees with that of p, the first profile with q's voter preferences
+    on the pair.  Profiles whose outcome is None are skipped."""
+    for a, b in unordered_pairs(n):
+        first = {}
+        for profile, out in zip(profiles, outcomes):
+            if out is None:
+                continue
+            key = tuple(ranks_above(x, a, b) for x in profile)
+            bit = ranks_above(out, a, b)
+            if key not in first:
+                first[key] = (profile, bit)
+            elif first[key][1] != bit:
+                return (first[key][0], profile, a, b)
+    return None

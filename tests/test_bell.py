@@ -272,6 +272,13 @@ def test_optimizer_ch_expression():
     assert abs(val - (sqrt(2) - 1) / 2) < 1e-6
 
 
+def test_optimizer_ch_runs_the_chsh_search():
+    ch_axes, ch = maximize_violation("ch", seed=5, budget=400)
+    chsh_axes, s = maximize_violation("chsh", seed=5, budget=400)
+    assert all(np.array_equal(x, y) for x, y in zip(ch_axes, chsh_axes))
+    assert ch == (s - 2.0) / 4.0
+
+
 # ---- scenario serialization ----
 
 def test_scenario_round_trip():

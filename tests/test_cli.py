@@ -5,6 +5,7 @@ from math import sqrt
 
 import pytest
 
+from arrowq import cli, social_choice
 from arrowq.hilbert import ks_instance_from_rule
 from arrowq.social_choice import (
     pairwise_majority_rule,
@@ -68,6 +69,21 @@ def test_verify_arrow_two_alternatives_still_passes():
     report = report_of(proc)
     assert report["results"]["all_dictatorial"] is False
     assert report["results"]["fair_rule_count"] == 4
+
+
+def test_verify_arrow_runs_the_search_once(monkeypatch, capsys):
+    calls = []
+    search = social_choice.enumerate_fair_rules
+
+    def counted(m, n):
+        calls.append((m, n))
+        return search(m, n)
+
+    monkeypatch.setattr(social_choice, "enumerate_fair_rules", counted)
+    monkeypatch.setattr(cli, "enumerate_fair_rules", counted, raising=False)
+    assert cli.main(["verify-arrow", "--voters", "2", "--alternatives", "3"]) == 0
+    assert calls == [(2, 3)]
+    assert len(json.loads(capsys.readouterr().out)["results"]["rules"]) == 2
 
 
 def test_verify_arrow_guard_exits_two():
@@ -143,6 +159,21 @@ def test_bell_ch_optimized():
     assert results["violated"] is True
 
 
+@pytest.mark.parametrize("inequality", ["chsh", "ch"])
+def test_bell_evaluates_each_inequality_once(monkeypatch, capsys, inequality):
+    counts = {}
+    for name in ("chsh_value", "ch_value"):
+        def counted(*args, _fn=getattr(cli, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    assert cli.main(["bell", "--inequality", inequality]) == 0
+    assert counts == {"chsh_value": 1, "ch_value": 1}
+    results = json.loads(capsys.readouterr().out)["results"]
+    companion = "chsh_companion_value" if inequality == "chsh" else "ch_companion_value"
+    assert results["value"] == results[companion]
+
+
 def test_bell_scenario_file(tmp_path):
     # all four axes equal: S collapses to 2 E(z, z) = -2 on the singlet
     z = [0.0, 0.0, 1.0]
@@ -214,6 +245,18 @@ def test_ks_verify_all_ones_coloring_fails(tmp_path):
     results = report_of(proc)["results"]
     assert results["valid"] is False
     assert results["violated_bases"]
+
+
+@pytest.mark.parametrize("index", [-1, 6])
+def test_ks_verify_out_of_range_basis_index_exits_two(tmp_path, index):
+    path = make_instance_file(tmp_path)
+    data = json.loads(path.read_text())
+    data["bases"] = [[0, 1, 2, 3, 4, index]]
+    path.write_text(json.dumps(data))
+    proc = run_cli("ks-verify", "--instance", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_ks_verify_missing_instance_flag():

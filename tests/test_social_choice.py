@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrowq import SizeLimitError
-from arrowq.orders import enumerate_orders, order_rank
+from arrowq.orders import alternative_pairs, enumerate_orders, order_rank, reverse_order
 from arrowq.social_choice import (
     IntransitiveOutcomeError,
     VotingRule,
@@ -22,6 +22,7 @@ from arrowq.social_choice import (
     order_from_pair_bits,
     pair_input,
     pairwise_majority_rule,
+    profile_domain,
     profile_index,
     projection_rule,
     rule_from_json_dict,
@@ -89,6 +90,32 @@ def test_majority_rule_cycles_on_condorcet_profile():
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     with pytest.raises(IntransitiveOutcomeError):
         rule.outcome(cyclic)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (2, 4)])
+def test_profile_domain_rows_match_scalar_functions(m, n):
+    domain = profile_domain(m, n)
+    pairs = alternative_pairs(n)
+    for j, profile in enumerate(all_profiles(m, n)):
+        assert profile_index(profile) == j
+        assert domain.profile(j) == profile
+        assert domain.ballot_ranks[j].tolist() == [order_rank(b) for b in profile]
+        assert domain.pair_inputs[j].tolist() == [pair_input(profile, a, b) for a, b in pairs]
+    assert len(domain.ballot_ranks) == j + 1
+
+
+def test_profile_domain_guard():
+    with pytest.raises(SizeLimitError):
+        profile_domain(2, 7)
+
+
+def test_cyclic_profiles_tabulate_as_undecided():
+    majority = pairwise_majority_rule(3, 3)
+    table = majority.as_table()
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    assert table.outcomes[profile_index(cyclic)] is None
+    assert sum(out is None for out in table.outcomes) == 12
+    assert arrow_report(table) == arrow_report(majority)
 
 
 # ---- fairness predicates ----
@@ -167,6 +194,57 @@ def test_arrow_report_round_trip():
 
     bad = arrow_report(constant_rule(2, 2, (0, 1)))
     assert not bad.pareto and bad.to_json_dict()["pareto_witness"] is not None
+
+
+def perturbed_dictator(m, n, voter, flips):
+    """Dictator table with the outcome reversed at a few profile indices."""
+    outcomes = [p[voter] for p in all_profiles(m, n)]
+    for j in flips:
+        outcomes[j] = reverse_order(outcomes[j])
+    return VotingRule(m, n, outcomes=tuple(outcomes))
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 3)])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda m, n: borda_rule(m, n),
+        lambda m, n: anti_projection_rule(m, n, m - 1),
+        lambda m, n: constant_rule(m, n, tuple(range(n))),
+        lambda m, n: perturbed_dictator(m, n, 0, [5, 17, 30]),
+        lambda m, n: perturbed_dictator(m, n, m - 1, [len(enumerate_orders(n)) ** m - 2]),
+    ],
+    ids=["borda", "anti-projection", "constant", "perturbed-early", "perturbed-late"],
+)
+def test_witnesses_match_plain_loop_scan(m, n, make):
+    rule = make(m, n)
+    profiles = list(all_profiles(m, n))
+    pareto, pw = check_pareto(rule)
+    iia, iw = check_iia(rule)
+    assert pw == oracles.first_pareto_violation(rule.outcomes, profiles, n)
+    assert iw == oracles.first_iia_violation(rule.outcomes, profiles, n)
+    assert pareto == (pw is None) and iia == (iw is None)
+
+
+def test_partial_dictator_table_keeps_its_dictator():
+    outcomes = [p[1] for p in all_profiles(3, 3)]
+    for j in range(0, len(outcomes), 7):
+        outcomes[j] = None
+    report = arrow_report(VotingRule(3, 3, outcomes=tuple(outcomes)))
+    assert report.pareto and report.iia and not report.ud
+    assert report.dictator == 1
+    assert report.per_voter == (False, True, False)
+
+
+def test_partial_table_witnesses_skip_undecided_profiles():
+    rule = perturbed_dictator(2, 3, 0, [5, 17, 30])
+    outcomes = list(rule.outcomes)
+    outcomes[5] = None
+    profiles = list(all_profiles(2, 3))
+    _, pw = check_pareto(VotingRule(2, 3, outcomes=tuple(outcomes)))
+    _, iw = check_iia(VotingRule(2, 3, outcomes=tuple(outcomes)))
+    assert pw == oracles.first_pareto_violation(outcomes, profiles, 3)
+    assert iw == oracles.first_iia_violation(outcomes, profiles, 3)
 
 
 # ---- exhaustive enumeration against the independent oracle ----
@@ -268,6 +346,9 @@ def test_circuit_table_larger_register_passes_non_ballots_through():
 def test_circuit_table_guard():
     with pytest.raises(SizeLimitError):
         classical_circuit_table(projection_rule(4, 3, 0))
+    # checked before any profile is scanned: 24^5 profiles would take minutes
+    with pytest.raises(SizeLimitError):
+        classical_circuit_table(projection_rule(5, 4, 0))
 
 
 # ---- JSON round trips ----
