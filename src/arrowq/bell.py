@@ -2,18 +2,23 @@
 six-ballot spin-1/2 embedding for three alternatives, CHSH and CH
 inequality values on shared two-qubit states, exact classical bounds by
 enumerating local deterministic strategies, correlation tables for a
-watched-voter vs outcome scenario, and a derivative-free search for
-maximal quantum violations.
+watched-voter vs outcome scenario, and the closed-form maximal quantum
+violation.
 
 Axis convention: measurement directions are unit 3-vectors; each party's
 observable is the spin projection axis . sigma with outcomes +1/-1.
+
+Every value is read off the state's Bloch vectors r_A, r_B and its 3x3
+correlation matrix T: E(a, b) = a^T T b and P(+1 along a) = (1 + r_A . a)/2.
+The maximal CHSH value is 2 sqrt(s1^2 + s2^2) over the two largest
+singular values of T (R., P. & M. Horodecki, Phys. Lett. A 200, 340, 1995).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import acos, atan2, cos, pi, sin, sqrt
+from math import hypot, sqrt
 from typing import Optional
 
 import numpy as np
@@ -31,15 +36,18 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
+# identity, then the Pauli matrices: index 0 stands for "no measurement"
+_SIGMA = np.array((np.eye(2), *PAULI))
 
 
 def unit_axis(v) -> np.ndarray:
-    """Validate a measurement direction: a unit 3-vector."""
+    """Validate a measurement direction: a finite unit 3-vector."""
     axis = np.asarray(v, dtype=float)
     if axis.shape != (3,):
         raise ValueError("axis must be a 3-vector")
-    if abs(float(np.linalg.norm(axis)) - 1.0) > AXIS_TOL:
-        raise ValueError(f"axis {axis.tolist()} is not unit length")
+    # a NaN component fails no comparison, so finiteness is tested on its own
+    if not np.isfinite(axis).all() or abs(float(np.linalg.norm(axis)) - 1.0) > AXIS_TOL:
+        raise ValueError(f"axis {axis.tolist()} is not a finite unit vector")
     return axis
 
 
@@ -60,34 +68,28 @@ def _two_qubit(state: PureState) -> np.ndarray:
     return state.amplitudes
 
 
+def _bloch(state: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r_A, r_B, T): r_A[i] = <sigma_i x 1>, r_B[j] = <1 x sigma_j> and
+    T[i, j] = <sigma_i x sigma_j> on the state."""
+    psi = _two_qubit(state).reshape(2, 2)
+    moments = np.einsum("ab,mac,nbd,cd->mn", psi.conj(), _SIGMA, _SIGMA, psi).real
+    return moments[1:, 0], moments[0, 1:], moments[1:, 1:]
+
+
+def _joint_plus(bloch, a, b) -> float:
+    r_a, r_b, t = bloch
+    return float(1.0 + r_a @ a + r_b @ b + a @ t @ b) / 4.0
+
+
 def measurement_correlation(state: PureState, a, b) -> float:
-    """Expected product of the +-1 outcomes along axes a and b."""
-    psi = _two_qubit(state)
-    op = np.kron(spin_observable(a), spin_observable(b))
-    return float(np.real(np.vdot(psi, op @ psi)))
-
-
-def _projector_plus(axis) -> np.ndarray:
-    return (np.eye(2, dtype=complex) + spin_observable(axis)) / 2.0
+    """Expected product of the +-1 outcomes along axes a and b: a^T T b."""
+    _, _, t = _bloch(state)
+    return float(unit_axis(a) @ t @ unit_axis(b))
 
 
 def joint_plus_probability(state: PureState, a, b) -> float:
     """P(+1, +1) for measurements along a (first qubit) and b (second)."""
-    psi = _two_qubit(state)
-    op = np.kron(_projector_plus(a), _projector_plus(b))
-    return float(np.real(np.vdot(psi, op @ psi)))
-
-
-def alice_plus_probability(state: PureState, a) -> float:
-    psi = _two_qubit(state)
-    op = np.kron(_projector_plus(a), np.eye(2, dtype=complex))
-    return float(np.real(np.vdot(psi, op @ psi)))
-
-
-def bob_plus_probability(state: PureState, b) -> float:
-    psi = _two_qubit(state)
-    op = np.kron(np.eye(2, dtype=complex), _projector_plus(b))
-    return float(np.real(np.vdot(psi, op @ psi)))
+    return _joint_plus(_bloch(state), unit_axis(a), unit_axis(b))
 
 
 # ---- inequality values ----
@@ -126,12 +128,8 @@ def _result(name, value, lower, upper, axes) -> InequalityResult:
 def chsh_value(state: PureState, a1, a2, b1, b2) -> InequalityResult:
     """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2); local bound |S| <= 2."""
     a1, a2, b1, b2 = (unit_axis(v) for v in (a1, a2, b1, b2))
-    s = (
-        measurement_correlation(state, a1, b1)
-        + measurement_correlation(state, a1, b2)
-        + measurement_correlation(state, a2, b1)
-        - measurement_correlation(state, a2, b2)
-    )
+    _, _, t = _bloch(state)
+    s = float(a1 @ t @ (b1 + b2) + a2 @ t @ (b1 - b2))
     return _result("CHSH", s, -2.0, 2.0, ((a1, a2), (b1, b2)))
 
 
@@ -144,13 +142,15 @@ def ch_value(state: PureState, a1, a2, b1, b2) -> InequalityResult:
     by CH = (S - 2)/4 on any shared state, same axes.
     """
     a1, a2, b1, b2 = (unit_axis(v) for v in (a1, a2, b1, b2))
+    bloch = _bloch(state)
+    r_a, r_b, _ = bloch
     value = (
-        joint_plus_probability(state, a1, b1)
-        + joint_plus_probability(state, a1, b2)
-        + joint_plus_probability(state, a2, b1)
-        - joint_plus_probability(state, a2, b2)
-        - alice_plus_probability(state, a1)
-        - bob_plus_probability(state, b1)
+        _joint_plus(bloch, a1, b1)
+        + _joint_plus(bloch, a1, b2)
+        + _joint_plus(bloch, a2, b1)
+        - _joint_plus(bloch, a2, b2)
+        - float(1.0 + r_a @ a1) / 2.0
+        - float(1.0 + r_b @ b1) / 2.0
     )
     return _result("CH", value, -1.0, 0.0, ((a1, a2), (b1, b2)))
 
@@ -408,101 +408,29 @@ def scenario_from_json_dict(data: dict) -> TwoPartyScenario:
     return TwoPartyScenario(alice, bob, state)
 
 
-# ---- violation search ----
+# ---- maximal violation ----
 
-def _axis_from_angles(theta: float, phi: float) -> np.ndarray:
-    return np.array([sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta)])
+def maximize_violation(expression: str, state: Optional[PureState] = None):
+    """Axes maximizing a CHSH or CH value on a two-qubit state (default the
+    singlet), and the maximal value, in closed form.
 
-
-def _angles_from_axis(axis) -> tuple[float, float]:
-    axis = unit_axis(axis)
-    theta = acos(min(1.0, max(-1.0, float(axis[2]))))
-    phi = atan2(float(axis[1]), float(axis[0]))
-    return theta, phi
-
-
-def maximize_violation(
-    expression: str,
-    state: Optional[PureState] = None,
-    initial_axes=None,
-    budget: int = 10_000,
-    seed: int = 0,
-    min_step: float = 1e-9,
-):
-    """Derivative-free search for axes maximizing a CHSH or CH value.
-
-    Coordinate ascent over the 8 spherical angles of the four axes with a
-    geometrically shrinking step; once the step collapses the search
-    restarts from a seeded random point, keeping the best axes seen.  The
-    result never falls below the value at the initial axes, and a fixed
-    (seed, budget) pair always reproduces the same output.  CH is maximized
-    by the same CHSH search: CH = (S - 2)/4 on any state and axes.
+    With T = U diag(s) V^T and s1 >= s2 the two largest singular values,
+    a1 = u1, a2 = u2 and b1,2 = (s1 v1 +- s2 v2)/sqrt(s1^2 + s2^2) give
+    S = 2 sqrt(s1^2 + s2^2), the Horodecki maximum.  s1 = 1 on every pure
+    state, so the norm never vanishes.  CH = (S - 2)/4 on any state and
+    axes, so the same axes maximize CH.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1 evaluation")
     expr = expression.lower()
     if expr not in ("chsh", "ch"):
         raise ValueError(f"unknown expression {expression!r}")
     if state is None:
         state = singlet_state()
-    rng = np.random.default_rng(seed)
-
-    def random_angles():
-        return [float(rng.uniform(0.0, pi)) if i % 2 == 0 else float(rng.uniform(0.0, 2 * pi))
-                for i in range(8)]
-
-    if initial_axes is None:
-        angles = random_angles()
-    else:
-        if len(initial_axes) != 4:
-            raise ValueError("need four axes: a1, a2, b1, b2")
-        angles = []
-        for axis in initial_axes:
-            theta, phi = _angles_from_axis(axis)
-            angles.extend([theta, phi])
-
-    evals = 0
-
-    def value_at(angs):
-        nonlocal evals
-        evals += 1
-        axes = [_axis_from_angles(angs[2 * i], angs[2 * i + 1]) for i in range(4)]
-        return chsh_value(state, *axes).value
-
-    best_angles = list(angles)
-    best_value = value_at(best_angles)
-    cur_angles, cur_value = list(best_angles), best_value
-    step = pi / 4
-
-    while evals < budget:
-        improved = False
-        for i in range(8):
-            if evals >= budget:
-                break
-            for delta in (step, -step):
-                if evals >= budget:
-                    break
-                trial = list(cur_angles)
-                trial[i] += delta
-                v = value_at(trial)
-                if v > cur_value:
-                    cur_angles, cur_value = trial, v
-                    improved = True
-                    break
-        if cur_value > best_value:
-            best_angles, best_value = list(cur_angles), cur_value
-        if not improved:
-            step *= 0.5
-            if step < min_step:
-                if evals >= budget:
-                    break
-                cur_angles = random_angles()
-                cur_value = value_at(cur_angles)
-                if cur_value > best_value:
-                    best_angles, best_value = list(cur_angles), cur_value
-                step = pi / 4
-
-    axes = tuple(_axis_from_angles(best_angles[2 * i], best_angles[2 * i + 1]) for i in range(4))
+    _, _, t = _bloch(state)
+    u, s, vt = np.linalg.svd(t)
+    norm = hypot(s[0], s[1])
+    b1 = (s[0] * vt[0] + s[1] * vt[1]) / norm
+    b2 = (s[0] * vt[0] - s[1] * vt[1]) / norm
+    value = 2.0 * norm
     if expr == "ch":
-        best_value = (best_value - 2.0) / 4.0
-    return axes, float(best_value)
+        value = (value - 2.0) / 4.0
+    return (u[:, 0], u[:, 1], b1, b2), float(value)

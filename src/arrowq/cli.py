@@ -145,19 +145,12 @@ def _run_bell(args):
     config = {
         "inequality": name,
         "optimize": bool(args.optimize),
-        "budget": args.budget,
         "seed": args.seed,
         "scenario_file": args.scenario,
     }
 
     if args.optimize:
-        initial = None
-        if args.scenario is not None:
-            initial = list(scenario.alice_axes[:2]) + list(scenario.bob_axes[:2])
-        axes, _ = maximize_violation(
-            name, state=scenario.state, initial_axes=initial,
-            budget=args.budget, seed=args.seed,
-        )
+        axes, _ = maximize_violation(name, state=scenario.state)
     else:
         if len(scenario.alice_axes) < 2 or len(scenario.bob_axes) < 2:
             raise ValueError("need two axes per party")
@@ -257,9 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell", help="inequality values, classical bounds, optional optimization")
     p.add_argument("--inequality", choices=("chsh", "ch"), default="chsh")
-    p.add_argument("--optimize", action="store_true", help="search axes for maximal value")
+    p.add_argument("--optimize", action="store_true", help="maximal-value axes for the state")
     p.add_argument("--scenario", default=None, help="scenario JSON file; default optimal axes + singlet")
-    p.add_argument("--budget", type=int, default=10_000, help="evaluation budget when optimizing")
     common(p)
     p.set_defaults(run=_run_bell)
 

@@ -10,6 +10,7 @@ index = ancilla * d^m + sum(p_i * d^(m-1-i)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb, factorial, isclose
 from typing import Optional, Sequence
@@ -135,11 +136,23 @@ class UnitaryCircuit:
     perm: np.ndarray
 
     def __post_init__(self):
+        if self.registers < 2:
+            raise ValueError("a circuit needs an ancilla and at least one voter register")
         perm = np.asarray(self.perm, dtype=np.int64)
         object.__setattr__(self, "perm", perm)
         size = self.space.d ** self.registers
         if not np.array_equal(np.sort(perm), np.arange(size)):
             raise ValueError("transition table is not a permutation")
+
+    @cached_property
+    def copied_voters(self) -> frozenset[int]:
+        """Voters whose ballot index the circuit writes into the ancilla on
+        every ballot basis profile with ancilla 0."""
+        m, d = self.registers - 1, self.space.d
+        domain = profile_domain(m, self.space.n)
+        flat = domain.flat_index(d)
+        copies = (self.perm[flat] - flat)[:, None] == domain.ballot_ranks * d ** m
+        return frozenset(np.flatnonzero(copies.all(axis=0)).tolist())
 
     def apply(self, state: PureState) -> PureState:
         if state.dim != self.space.d or state.registers != self.registers:
@@ -184,10 +197,7 @@ def is_dictatorial_circuit(circuit: UnitaryCircuit, voter: int) -> bool:
     m = circuit.registers - 1
     if not 0 <= voter < m:
         raise ValueError(f"voter {voter} out of range for {m} registers")
-    d = circuit.space.d
-    domain = profile_domain(m, circuit.space.n)
-    flat = domain.flat_index(d)
-    return bool(np.array_equal(circuit.perm[flat], domain.ballot_ranks[:, voter] * d ** m + flat))
+    return voter in circuit.copied_voters
 
 
 # ---- cloning ----
@@ -206,7 +216,7 @@ def cloning_fidelity(
     circuit that copies basis ballots for this voter, so any fidelity below
     1 on a superposition is a genuine cloning failure.
     """
-    if not is_dictatorial_circuit(circuit, voter):
+    if voter not in circuit.copied_voters:
         raise ValueError(f"circuit does not copy voter {voter} on basis profiles")
     m = circuit.registers - 1
     d = circuit.space.d

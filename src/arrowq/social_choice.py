@@ -184,7 +184,11 @@ class VotingRule:
         return "pairwise" if self.tables is not None else "table"
 
     def outcome(self, profile: Profile) -> LinearOrder:
-        """Collective ranking for one profile."""
+        """Collective ranking for one profile: one ranking of the
+        alternatives per voter."""
+        if len(profile) != self.voters:
+            raise ValueError(f"profile has {len(profile)} ballots, expected {self.voters}")
+        profile = tuple(validate_order(ballot, self.alternatives) for ballot in profile)
         if self.tables is not None:
             bits = [
                 self.tables[k][pair_input(profile, a, b)]

@@ -8,6 +8,8 @@ functions.
 
 from itertools import permutations, product
 
+import numpy as np
+
 
 def all_rankings(n):
     return [tuple(p) for p in permutations(range(n))]
@@ -169,3 +171,52 @@ def first_iia_violation(outcomes, profiles, n):
             elif first[key][1] != bit:
                 return (first[key][0], profile, a, b)
     return None
+
+
+# ---- two-qubit expectations by explicit 4x4 Kronecker products ----
+
+IDENTITY = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def spin(axis):
+    return axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
+
+
+def plus_projector(axis):
+    return (IDENTITY + spin(axis)) / 2
+
+
+def kron_expectation(psi, op_a, op_b):
+    """<psi| op_a x op_b |psi> for a 4-amplitude state."""
+    return float(np.real(np.vdot(psi, np.kron(op_a, op_b) @ psi)))
+
+
+def kron_correlation(psi, a, b):
+    return kron_expectation(psi, spin(a), spin(b))
+
+
+def kron_joint_plus(psi, a, b):
+    return kron_expectation(psi, plus_projector(a), plus_projector(b))
+
+
+def kron_chsh(psi, a1, a2, b1, b2):
+    return (
+        kron_correlation(psi, a1, b1)
+        + kron_correlation(psi, a1, b2)
+        + kron_correlation(psi, a2, b1)
+        - kron_correlation(psi, a2, b2)
+    )
+
+
+def kron_ch(psi, a1, a2, b1, b2):
+    return (
+        kron_joint_plus(psi, a1, b1)
+        + kron_joint_plus(psi, a1, b2)
+        + kron_joint_plus(psi, a2, b1)
+        - kron_joint_plus(psi, a2, b2)
+        - kron_expectation(psi, plus_projector(a1), IDENTITY)
+        - kron_expectation(psi, IDENTITY, plus_projector(b1))
+    )

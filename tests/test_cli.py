@@ -37,7 +37,7 @@ def report_of(proc):
         ("verify-arrow", "--voters", "2", "--alternatives", "3"),
         ("clone-test",),
         ("bell",),
-        ("bell", "--inequality", "ch", "--optimize", "--budget", "2000"),
+        ("bell", "--inequality", "ch", "--optimize"),
         ("energy",),
     ],
 )
@@ -45,7 +45,7 @@ def test_repeat_runs_are_byte_identical(argv):
     a = run_cli(*argv)
     b = run_cli(*argv)
     assert a.stdout == b.stdout
-    assert a.returncode == b.returncode
+    assert a.returncode == b.returncode == 0
 
 
 # ---- verify-arrow ----
@@ -152,10 +152,10 @@ def test_bell_default_chsh():
 
 
 def test_bell_ch_optimized():
-    proc = run_cli("bell", "--inequality", "ch", "--optimize", "--budget", "10000")
+    proc = run_cli("bell", "--inequality", "ch", "--optimize")
     assert proc.returncode == 0
     results = report_of(proc)["results"]
-    assert abs(results["value"] - (sqrt(2.0) - 1) / 2) < 1e-6
+    assert abs(results["value"] - (sqrt(2.0) - 1) / 2) < 1e-12
     assert results["violated"] is True
 
 
@@ -191,6 +191,21 @@ def test_bell_bad_scenario_exits_two(tmp_path):
     path.write_text("{not json")
     proc = run_cli("bell", "--scenario", str(path))
     assert proc.returncode == 2
+
+
+def test_bell_nan_axis_exits_two(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"alice_axes": [[NaN, 0, 0], [1, 0, 0]]}')
+    proc = run_cli("bell", "--scenario", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_bell_budget_flag_is_gone():
+    proc = run_cli("bell", "--optimize", "--budget", "10", check_stderr_timing=False)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --budget" in proc.stderr
 
 
 # ---- energy ----
@@ -285,7 +300,7 @@ def test_timing_flag_adds_key_and_breaks_nothing_else():
 
 
 def test_seed_is_echoed_in_config():
-    report = report_of(run_cli("bell", "--seed", "3", "--optimize", "--budget", "50"))
+    report = report_of(run_cli("bell", "--seed", "3", "--optimize"))
     assert report["config"]["seed"] == 3
 
 

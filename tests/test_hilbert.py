@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from arrowq import SizeLimitError
+from arrowq import SizeLimitError, hilbert
 from arrowq.hilbert import (
     BallotSpace,
     KSInstance,
     PureState,
+    UnitaryCircuit,
     ballot_state,
     basis_state,
     cloning_fidelity,
@@ -28,6 +29,7 @@ from arrowq.social_choice import (
     enumerate_fair_rules,
     find_dictator,
     pairwise_majority_rule,
+    profile_domain,
     projection_rule,
 )
 
@@ -102,6 +104,11 @@ def test_lift_is_a_permutation_unitary():
     entries = circ.sparse_entries()
     assert len(entries) == 216
     assert all(circ.perm[c] == r for r, c in entries)
+
+
+def test_circuit_needs_a_voter_register():
+    with pytest.raises(ValueError, match="voter register"):
+        UnitaryCircuit(SPACE, 1, np.arange(6))
 
 
 def test_lift_action_on_basis_profiles():
@@ -197,6 +204,23 @@ def test_cloning_requires_dictatorial_circuit():
         cloning_fidelity(maj, 0, basis_state(2, 0))
 
 
+def test_fidelities_on_one_circuit_scan_the_domain_once(monkeypatch):
+    circ = lift_rule_to_unitary(SPACE, projection_rule(2, 3, 1))
+    scans = []
+
+    def counted(m, n):
+        scans.append((m, n))
+        return profile_domain(m, n)
+
+    monkeypatch.setattr(hilbert, "profile_domain", counted)
+    for theta in np.linspace(0.0, pi / 2, 10):
+        amps = np.zeros(6, dtype=complex)
+        amps[0], amps[1] = cos(theta), sin(theta)
+        cloning_fidelity(circ, 1, PureState(amps, 6))
+    assert scans == [(2, 3)]
+    assert circ.copied_voters == {1}
+
+
 def test_no_cloning_scan_finds_the_half_floor():
     report = no_cloning_scan(SPACE, trials=1000, seed=0)
     grid_theta, grid_min = oracles.grid_minimum(
@@ -263,6 +287,13 @@ def test_dictator_instance_validates():
         ok, _ = verify_ks_coloring(inst)
         assert ok
         assert sum(inst.coloring) == 1
+
+
+def test_instance_rejects_wrong_shape_profiles():
+    rule = projection_rule(2, 3, 0)
+    for profile in (((0, 1, 2),), ((0, 1, 2), (2, 1, 0), (1, 0, 2)), ((0, 1), (1, 0))):
+        with pytest.raises(ValueError):
+            ks_instance_from_rule(rule, profile)
 
 
 def test_ks_json_round_trip():

@@ -85,6 +85,19 @@ def test_projection_outcome_copies_the_voter(b0, b1):
     assert rule.outcome((b0, b1)) == b1
 
 
+@pytest.mark.parametrize("profile", [
+    ((2, 1, 0),),
+    ((1, 0, 2), (2, 1, 0), (0, 1, 2)),
+    ((1, 0), (0, 1)),
+    ((0, 1, 2), (0, 0, 1)),
+])
+def test_outcome_rejects_wrong_shape_profiles(profile):
+    rule = projection_rule(2, 3, 1)
+    for form in (rule, rule.as_table()):
+        with pytest.raises(ValueError):
+            form.outcome(profile)
+
+
 def test_majority_rule_cycles_on_condorcet_profile():
     rule = pairwise_majority_rule(3, 3)
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
