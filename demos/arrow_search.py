@@ -5,7 +5,6 @@ alternatives still admit genuinely collective rules."""
 
 from arrowq import (
     arrow_report,
-    enumerate_fair_rules,
     find_dictator,
     pairwise_majority_rule,
     verify_arrow,
@@ -16,7 +15,7 @@ for m, n in ((2, 2), (2, 3), (3, 3)):
     print(f"{m} voters, {n} alternatives: "
           f"{verification.fair_rule_count} fair rules, "
           f"all dictatorial: {verification.all_dictatorial}")
-    for rule, dictator in zip(enumerate_fair_rules(m, n), verification.rule_dictators):
+    for rule, dictator in zip(verification.rules, verification.rule_dictators):
         label = f"dictator {dictator}" if dictator is not None else "no dictator"
         print(f"  tables {rule.tables}  ->  {label}")
     print()

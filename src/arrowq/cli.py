@@ -69,6 +69,7 @@ def _run_verify_arrow(args):
     verification = verify_arrow(args.voters, args.alternatives)
     results = verification.to_json_dict()
     results["rules"] = [[list(t) for t in r.tables] for r in verification.rules]
+    results["stats"] = verification.stats()
     if args.alternatives > 2:
         passed = verification.all_dictatorial
     else:

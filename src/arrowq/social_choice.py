@@ -399,73 +399,127 @@ def arrow_report(rule: VotingRule) -> ArrowReport:
 
 # ---- exhaustive search for fair rules ----
 
-def enumerate_fair_rules(m: int, n: int) -> list[VotingRule]:
+class FairRules(list):
+    """The fair rules in search order, plus the search's counters: clauses
+    (unit clauses and nogoods), decisions (branch values tried),
+    propagations (literals set by unit propagation) and conflicts."""
+
+    clauses = decisions = propagations = conflicts = 0
+
+
+def _cyclic_nogoods(m: int, n: int) -> np.ndarray:
+    """[C, 3] literals (2 * variable + value, variable = pair * 2^m + voter
+    vector) such that no fair rule makes all three of a row true: for each
+    triple x < y < z and each way the voters rank it, the two cyclic
+    outcomes x > y > z > x and x < y < z < x."""
+    size = 1 << m
+    k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
+    shifts = m * np.arange(2, -1, -1)
+    nogoods = [np.zeros((0, 3), dtype=np.int64)]
+    for x, y, z in combinations(range(n), 3):
+        cols = np.array([k[x, y], k[y, z], k[x, z]])
+        # distinct (xy, yz, xz) voter vectors, at most 6^m of them, packed
+        # into one integer per profile so np.unique sorts a flat array
+        inputs = profile_domain(m, n).pair_inputs[:, cols].astype(np.int64)
+        codes = np.unique(np.bitwise_or.reduce(inputs << shifts, axis=1))
+        var = cols * size + ((codes[:, None] >> shifts) & (size - 1))
+        nogoods += [2 * var + (1, 1, 0), 2 * var + (0, 0, 1)]
+    return np.concatenate(nogoods)
+
+
+def enumerate_fair_rules(m: int, n: int) -> FairRules:
     """All pairwise-decomposable rules that respect unanimity on every pair
     and stay transitive on every profile, in lexicographic order of their
     concatenated truth tables.
 
-    Pairs are assigned depth-first in lexicographic order; when pair (y, z)
-    is reached, every triple x < y < z already has (x, y) and (x, z) fixed,
-    and each profile where those bits differ forces the (y, z) bit, pruning
-    the candidate tree far below the 2^(2^m * C(n,2)) worst case.
+    A rule is one Boolean variable per (pair k, voter vector v): bit v of
+    table k.  Unanimity gives the unit clauses x[k][0] = 0 and
+    x[k][2^m - 1] = 1; each triple x < y < z and each way the voters rank
+    it give two 3-literal nogoods, one per cyclic outcome.  The search
+    branches on the lowest unassigned variable, 0 before 1, and sets every
+    literal the clauses then force (unit propagation), so the rules come
+    out in table order.  Once every unassigned variable lies past the last
+    one in a nogood (from the start at n <= 2), every completion of the
+    rest is a fair rule, and they are listed without branching.
     """
-    check_guard(n, 4, "alternative count for rule enumeration")
+    check_guard(n, 5, "alternative count for rule enumeration")
     check_guard(1 << m, 16, "profile bit-vector size 2^m")
-    if n == 1:
-        return [VotingRule(m, 1, outcomes=((0,),) * 1)]
+    size, npairs = 1 << m, len(alternative_pairs(n))
+    nvars = npairs * size
+    nogoods = _cyclic_nogoods(m, n)
+    # occurs[lit]: the other two literals of every nogood containing lit
+    occurs = [[] for _ in range(2 * nvars)]
+    for a, b, c in nogoods.tolist():
+        occurs[a].append((b, c))
+        occurs[b].append((a, c))
+        occurs[c].append((a, b))
+    last_constrained = int(nogoods.max()) >> 1 if len(nogoods) else -1
 
-    pairs = alternative_pairs(n)
-    pair_index = {p: k for k, p in enumerate(pairs)}
-    size = 1 << m
+    state = [0] * (2 * nvars)  # per literal: 1 true, -1 false, 0 unassigned
+    trail = []
+    rules = FairRules()
 
-    # inputs[k][j] = voter bit-vector of profile j on pair k, as lists for the scalar scan
-    inputs = profile_domain(m, n).pair_inputs.T.tolist()
-    # per pair (y,z): the (x,y) and (x,z) table positions for each x < y
-    sources = {
-        k: [(pair_index[(x, y)], pair_index[(x, z)]) for x in range(y)]
-        for k, (y, z) in enumerate(pairs)
-    }
+    def propagate(lits) -> bool:
+        """Make lits true plus everything they force; False on a conflict."""
+        stack = list(lits)
+        while stack:
+            lit = stack.pop()
+            if state[lit]:
+                if state[lit] < 0:
+                    rules.conflicts += 1
+                    return False
+                continue
+            state[lit], state[lit ^ 1] = 1, -1
+            trail.append(lit)
+            for a, b in occurs[lit]:
+                sa, sb = state[a], state[b]
+                if sa > 0 and sb > 0:
+                    rules.conflicts += 1
+                    return False
+                if sa > 0 and not sb:
+                    stack.append(b ^ 1)
+                elif sb > 0 and not sa:
+                    stack.append(a ^ 1)
+        return True
 
-    results = []
-    assigned: list[tuple[int, ...]] = []
+    def undo(mark: int):
+        while len(trail) > mark:
+            lit = trail.pop()
+            state[lit] = state[lit ^ 1] = 0
 
-    def completions(k):
-        forced = {0: 0, size - 1: 1}
-        for kxy, kxz in sources[k]:
-            txy, txz = assigned[kxy], assigned[kxz]
-            for j in range(len(inputs[k])):
-                bxy = txy[inputs[kxy][j]]
-                bxz = txz[inputs[kxz][j]]
-                if bxy != bxz:
-                    v = inputs[k][j]
-                    want = bxz
-                    if forced.setdefault(v, want) != want:
-                        return
-        free = [v for v in range(size) if v not in forced]
-        table = [0] * size
-        for v, bit in forced.items():
-            table[v] = bit
-        for bits in product((0, 1), repeat=len(free)):
-            for v, bit in zip(free, bits):
-                table[v] = bit
-            yield tuple(table)
-
-    def dfs(k):
-        if k == len(pairs):
-            results.append(VotingRule(m, n, tables=tuple(assigned)))
+    def branch(var: int):
+        while var < nvars and state[2 * var]:
+            var += 1
+        if var > last_constrained:
+            # the product of every variable's allowed bits, in table order
+            bits = [(int(state[2 * v + 1] > 0),) if state[2 * v] else (0, 1)
+                    for v in range(nvars)]
+            tables = [product(*bits[k * size:(k + 1) * size]) for k in range(npairs)]
+            rules.extend(VotingRule(m, n, tables=combo) for combo in product(*tables))
             return
-        for table in completions(k):
-            assigned.append(table)
-            dfs(k + 1)
-            assigned.pop()
+        for value in (0, 1):
+            rules.decisions += 1
+            mark = len(trail)
+            ok = propagate([2 * var + value])
+            rules.propagations += len(trail) - mark - 1
+            if ok:
+                branch(var + 1)
+            undo(mark)
 
-    dfs(0)
-    return results
+    # unanimity: literal x[k][0] = 0 and literal x[k][2^m - 1] = 1
+    units = [2 * k * size for k in range(npairs)]
+    units += [2 * ((k + 1) * size - 1) + 1 for k in range(npairs)]
+    propagate(units)
+    rules.propagations += len(trail)
+    rules.clauses = len(units) + len(nogoods)
+    branch(0)
+    return rules
 
 
 @dataclass(frozen=True)
 class ArrowVerification:
-    """Outcome of enumerating fair rules and testing each for a dictator."""
+    """Outcome of enumerating fair rules and testing each for a dictator,
+    with the search's counters (see FairRules)."""
 
     voters: int
     alternatives: int
@@ -473,6 +527,10 @@ class ArrowVerification:
     all_dictatorial: bool
     dictators: tuple[int, ...]
     rule_dictators: tuple[Optional[int], ...]
+    clauses: int
+    decisions: int
+    propagations: int
+    conflicts: int
     rules: tuple[VotingRule, ...] = field(repr=False)
 
     def to_json_dict(self) -> dict:
@@ -485,18 +543,37 @@ class ArrowVerification:
             "rule_dictators": list(self.rule_dictators),
         }
 
+    def stats(self) -> dict:
+        return {
+            "clauses": self.clauses,
+            "decisions": self.decisions,
+            "propagations": self.propagations,
+            "conflicts": self.conflicts,
+        }
+
 
 def verify_arrow(m: int, n: int) -> ArrowVerification:
     """Enumerate every fair rule and check whether each has a dictator.
 
     For n >= 3 every fair rule is a projection, so all_dictatorial comes
     out true; n = 2 admits non-dictatorial fair rules for m >= 2.
+
+    A fair rule is total and every voter vector occurs on every pair, so
+    voter i dictates exactly when every table equals voter i's projection
+    table; one array comparison gives find_dictator for every rule.
     """
     rules = enumerate_fair_rules(m, n)
-    per_rule = tuple(find_dictator(r) for r in rules)
+    size, npairs = 1 << m, len(alternative_pairs(n))
+    tables = np.array([r.tables for r in rules], dtype=np.int8).reshape(len(rules), npairs, size)
+    projections = (np.arange(size) >> np.arange(m)[:, None]) & 1
+    copies = (tables[:, None] == projections[None, :, None]).all(axis=(2, 3))
+    per_rule = tuple(int(c.argmax()) if c.any() else None for c in copies)
     dictators = tuple(sorted({d for d in per_rule if d is not None}))
     all_dict = all(d is not None for d in per_rule)
-    return ArrowVerification(m, n, len(rules), all_dict, dictators, per_rule, tuple(rules))
+    return ArrowVerification(
+        m, n, len(rules), all_dict, dictators, per_rule,
+        rules.clauses, rules.decisions, rules.propagations, rules.conflicts, tuple(rules),
+    )
 
 
 # ---- reversible circuit table ----

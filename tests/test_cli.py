@@ -86,6 +86,22 @@ def test_verify_arrow_runs_the_search_once(monkeypatch, capsys):
     assert len(json.loads(capsys.readouterr().out)["results"]["rules"]) == 2
 
 
+def test_verify_arrow_reports_search_stats():
+    argv = ("verify-arrow", "--voters", "4", "--alternatives", "3")
+    a, b = run_cli(*argv), run_cli(*argv)
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+    stats = report_of(a)["results"]["stats"]
+    assert stats == {"clauses": 2598, "conflicts": 0, "decisions": 6, "propagations": 144}
+
+
+def test_verify_arrow_single_alternative_reports():
+    # one rule, the constant, which every voter dictates: the n <= 2 check fails
+    proc = run_cli("verify-arrow", "--voters", "2", "--alternatives", "1")
+    assert proc.returncode == 1
+    assert report_of(proc)["results"]["rules"] == [[]]
+
+
 def test_verify_arrow_guard_exits_two():
     proc = run_cli("verify-arrow", "--voters", "5", "--alternatives", "3")
     assert proc.returncode == 2

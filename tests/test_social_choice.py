@@ -1,8 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arrowq import SizeLimitError
+from arrowq import SizeLimitError, social_choice
 from arrowq.orders import alternative_pairs, enumerate_orders, order_rank, reverse_order
 from arrowq.social_choice import (
     IntransitiveOutcomeError,
@@ -320,9 +322,67 @@ def test_verify_arrow_24_within_guard():
 
 def test_enumeration_guard():
     with pytest.raises(SizeLimitError):
-        enumerate_fair_rules(2, 5)
+        enumerate_fair_rules(2, 6)
     with pytest.raises(SizeLimitError):
         enumerate_fair_rules(5, 3)
+
+
+def test_enumeration_guards_come_before_the_profile_domain(monkeypatch):
+    def refuse(m, n):
+        raise AssertionError("profile domain built before the guards")
+
+    monkeypatch.setattr(social_choice, "profile_domain", refuse)
+    for m, n in ((2, 6), (5, 3)):
+        with pytest.raises(SizeLimitError):
+            enumerate_fair_rules(m, n)
+
+
+def projection_tables(m, n):
+    # closed form at n >= 3: exactly the m projections, in table order
+    return [
+        (tuple((v >> i) & 1 for v in range(1 << m)),) * len(alternative_pairs(n))
+        for i in reversed(range(m))
+    ]
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (4, 3), (2, 5)])
+def test_fair_rules_are_the_projections(m, n):
+    assert [r.tables for r in enumerate_fair_rules(m, n)] == projection_tables(m, n)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_two_alternative_fair_rules_are_the_unanimous_tables(m):
+    # closed form at n = 2: every table with t[0] = 0 and t[2^m - 1] = 1
+    want = [((0,) + inner + (1,),) for inner in product((0, 1), repeat=(1 << m) - 2)]
+    assert [r.tables for r in enumerate_fair_rules(m, 2)] == want
+
+
+def test_single_alternative_fair_rule_is_pairwise():
+    (rule,) = enumerate_fair_rules(3, 1)
+    assert rule.tables == () and rule.is_total() and find_dictator(rule) == 0
+
+
+@pytest.mark.parametrize(
+    "m, n", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3)]
+)
+def test_batched_dictators_match_find_dictator(m, n):
+    v = verify_arrow(m, n)
+    assert v.rule_dictators == tuple(find_dictator(rule) for rule in v.rules)
+
+
+def test_search_counters():
+    # (4,3): a unit clause per table end and two nogoods per way the four
+    # voters rank the one triple (6^4); four projections are three binary
+    # branch points, each trying both values
+    v = verify_arrow(4, 3)
+    assert v.clauses == 2 * 3 + 2 * 6 ** 4
+    assert (v.decisions, v.conflicts) == (6, 0)
+    # frozen: without conflicts unit propagation reaches a unique
+    # fixpoint, so the count does not depend on the clause order
+    assert v.propagations == 144
+    assert verify_arrow(4, 2).stats() == {
+        "clauses": 2, "decisions": 0, "propagations": 2, "conflicts": 0
+    }
 
 
 # ---- reversible circuit table ----
