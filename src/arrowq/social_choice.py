@@ -460,7 +460,10 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     rules = FairRules()
 
     def propagate(lits) -> bool:
-        """Make lits true plus everything they force; False on a conflict."""
+        """Make lits true plus everything they force; False on a conflict.
+
+        Once two literals of a nogood are true the negation of the third is
+        queued, so a conflict always shows as popping a false literal."""
         stack = list(lits)
         while stack:
             lit = stack.pop()
@@ -472,13 +475,9 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
             state[lit], state[lit ^ 1] = 1, -1
             trail.append(lit)
             for a, b in occurs[lit]:
-                sa, sb = state[a], state[b]
-                if sa > 0 and sb > 0:
-                    rules.conflicts += 1
-                    return False
-                if sa > 0 and not sb:
+                if state[a] > 0 and not state[b]:
                     stack.append(b ^ 1)
-                elif sb > 0 and not sa:
+                elif state[b] > 0 and not state[a]:
                     stack.append(a ^ 1)
         return True
 
