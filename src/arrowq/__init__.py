@@ -76,7 +76,6 @@ from .bell import (
     measurement_correlation,
     scenario_from_json_dict,
     singlet_state,
-    spin_observable,
     unit_axis,
 )
 from .landauer import (

@@ -51,11 +51,6 @@ def unit_axis(v) -> np.ndarray:
     return axis
 
 
-def spin_observable(axis) -> np.ndarray:
-    axis = unit_axis(axis)
-    return axis[0] * PAULI[0] + axis[1] * PAULI[1] + axis[2] * PAULI[2]
-
-
 def singlet_state() -> PureState:
     """(|01> - |10>)/sqrt(2), the maximally anticorrelated two-qubit state."""
     amps = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / sqrt(2.0)

@@ -25,6 +25,7 @@ import numpy as np
 
 from ._guards import check_guard
 from .orders import (
+    MAX_ALTERNATIVES,
     LinearOrder,
     alternative_pairs,
     enumerate_orders,
@@ -175,9 +176,7 @@ class VotingRule:
         else:
             if len(self.outcomes) != factorial(n) ** m:
                 raise ValueError(f"expected {factorial(n) ** m} outcome entries")
-            for out in self.outcomes:
-                if out is not None:
-                    validate_order(out, n)
+            self.outcome_ranks  # ranks every entry, raising on a non-ranking
 
     @property
     def kind(self) -> str:
@@ -211,7 +210,10 @@ class VotingRule:
             ranks = domain.decode(tables[np.arange(len(tables)), domain.pair_inputs])
         else:
             rank = {order: r for r, order in enumerate(enumerate_orders(n))}
-            ranks = np.array([-1 if out is None else rank[tuple(out)] for out in self.outcomes])
+            try:
+                ranks = np.array([-1 if o is None else rank[tuple(o)] for o in self.outcomes])
+            except KeyError as missing:  # str() of a KeyError is the key's repr
+                raise ValueError(f"{missing} is not a ranking of alternatives 0..{n - 1}") from None
         ranks.flags.writeable = False
         return ranks
 
@@ -411,20 +413,17 @@ def _cyclic_nogoods(m: int, n: int) -> np.ndarray:
     """[C, 3] literals (2 * variable + value, variable = pair * 2^m + voter
     vector) such that no fair rule makes all three of a row true: for each
     triple x < y < z and each way the voters rank it, the two cyclic
-    outcomes x > y > z > x and x < y < z < x."""
-    size = 1 << m
+    outcomes x > y > z > x and x < y < z < x.  A voter's (xy, yz, xz) bits
+    are any pattern but the cyclic (1, 1, 0) and (0, 0, 1), so every triple
+    has the same 6^m rows of voter vectors: all combinations of the voters'
+    six patterns."""
+    acyclic = np.array([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)])
+    patterns = acyclic[np.indices((6,) * m).reshape(m, -1).T]  # [6^m, voter, 3]
+    rows = (patterns << np.arange(m)[:, None]).sum(axis=1)
     k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
-    shifts = m * np.arange(2, -1, -1)
-    nogoods = [np.zeros((0, 3), dtype=np.int64)]
-    for x, y, z in combinations(range(n), 3):
-        cols = np.array([k[x, y], k[y, z], k[x, z]])
-        # distinct (xy, yz, xz) voter vectors, at most 6^m of them, packed
-        # into one integer per profile so np.unique sorts a flat array
-        inputs = profile_domain(m, n).pair_inputs[:, cols].astype(np.int64)
-        codes = np.unique(np.bitwise_or.reduce(inputs << shifts, axis=1))
-        var = cols * size + ((codes[:, None] >> shifts) & (size - 1))
-        nogoods += [2 * var + (1, 1, 0), 2 * var + (0, 0, 1)]
-    return np.concatenate(nogoods)
+    triples = [(k[x, y], k[y, z], k[x, z]) for x, y, z in combinations(range(n), 3)]
+    var = np.array(triples, dtype=np.int64).reshape(-1, 1, 3) * (1 << m) + rows
+    return np.stack([2 * var + (1, 1, 0), 2 * var + (0, 0, 1)], axis=1).reshape(-1, 3)
 
 
 def enumerate_fair_rules(m: int, n: int) -> FairRules:
@@ -442,7 +441,9 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     one in a nogood (from the start at n <= 2), every completion of the
     rest is a fair rule, and they are listed without branching.
     """
-    check_guard(n, 5, "alternative count for rule enumeration")
+    if m < 1 or n < 1:
+        raise ValueError("need at least one voter and one alternative")
+    check_guard(n, MAX_ALTERNATIVES, "alternative count for rule enumeration")
     check_guard(1 << m, 16, "profile bit-vector size 2^m")
     size, npairs = 1 << m, len(alternative_pairs(n))
     nvars = npairs * size

@@ -109,6 +109,16 @@ def test_verify_arrow_guard_exits_two():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "flags", [("--voters", "0"), ("--voters", "-1"), ("--alternatives", "0")]
+)
+def test_verify_arrow_empty_electorate_exits_two(flags):
+    proc = run_cli("verify-arrow", *flags)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: need at least one voter and one alternative\n"
+    assert proc.stdout == ""
+
+
 # ---- clone-test ----
 
 def test_clone_test_default_passes():
@@ -147,6 +157,16 @@ def test_clone_test_rejects_non_dictatorial_rule(tmp_path):
     proc = run_cli("clone-test", "--rule", str(path))
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+def test_clone_test_rejects_a_non_ranking_entry(tmp_path):
+    data = rule_to_json_dict(projection_rule(2, 3, 0).as_table())
+    data["entries"][7] = [0, 0, 1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    proc = run_cli("clone-test", "--rule", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: (0, 0, 1) is not a ranking of alternatives 0..2\n"
 
 
 def test_clone_test_missing_file_exits_two(tmp_path):

@@ -1,4 +1,5 @@
-from itertools import product
+import re
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -322,19 +323,40 @@ def test_verify_arrow_24_within_guard():
 
 def test_enumeration_guard():
     with pytest.raises(SizeLimitError):
-        enumerate_fair_rules(2, 6)
+        enumerate_fair_rules(2, 9)
     with pytest.raises(SizeLimitError):
         enumerate_fair_rules(5, 3)
 
 
-def test_enumeration_guards_come_before_the_profile_domain(monkeypatch):
+def test_search_never_builds_a_profile_domain(monkeypatch):
     def refuse(m, n):
-        raise AssertionError("profile domain built before the guards")
+        raise AssertionError("the search built a profile domain")
 
     monkeypatch.setattr(social_choice, "profile_domain", refuse)
-    for m, n in ((2, 6), (5, 3)):
+    for m, n in ((3, 4), (4, 3), (3, 5), (4, 5)):
+        v = verify_arrow(m, n)
+        assert v.all_dictatorial and v.dictators == tuple(range(m))
+    for m, n in ((2, 9), (5, 3)):
         with pytest.raises(SizeLimitError):
             enumerate_fair_rules(m, n)
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 5)])
+def test_closed_form_nogoods_match_the_profile_domain(m, n):
+    # the derivation the closed form replaced: per triple, the distinct
+    # (xy, yz, xz) rows of the domain's pair inputs
+    inputs = profile_domain(m, n).pair_inputs.astype(np.int64)
+    k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
+    want = []
+    for x, y, z in combinations(range(n), 3):
+        cols = np.array([k[x, y], k[y, z], k[x, z]])
+        rows = np.unique(inputs[:, cols], axis=0)
+        assert len(rows) == 6 ** m
+        var = cols * (1 << m) + rows
+        want += [2 * var + (1, 1, 0), 2 * var + (0, 0, 1)]
+    got = social_choice._cyclic_nogoods(m, n)
+    assert len(got) == len(np.unique(got, axis=0))
+    assert np.array_equal(np.unique(got, axis=0), np.unique(np.concatenate(want), axis=0))
 
 
 def projection_tables(m, n):
@@ -345,7 +367,7 @@ def projection_tables(m, n):
     ]
 
 
-@pytest.mark.parametrize("m, n", [(3, 4), (4, 3), (2, 5)])
+@pytest.mark.parametrize("m, n", [(3, 4), (4, 3), (2, 5), (3, 5), (4, 5), (4, 8)])
 def test_fair_rules_are_the_projections(m, n):
     assert [r.tables for r in enumerate_fair_rules(m, n)] == projection_tables(m, n)
 
@@ -380,6 +402,10 @@ def test_search_counters():
     # frozen: without conflicts unit propagation reaches a unique
     # fixpoint, so the count does not depend on the clause order
     assert v.propagations == 144
+    # (4,5): ten triples and ten tables
+    assert verify_arrow(4, 5).stats() == {
+        "clauses": 2 * 10 + 2 * 10 * 6 ** 4, "decisions": 6, "propagations": 494, "conflicts": 0
+    }
     assert verify_arrow(4, 2).stats() == {
         "clauses": 2, "decisions": 0, "propagations": 2, "conflicts": 0
     }
@@ -440,6 +466,18 @@ def test_rule_json_round_trip_table():
     assert data["kind"] == "table"
     back = rule_from_json_dict(data)
     assert back.outcomes == rule.outcomes
+
+
+@pytest.mark.parametrize("bad", [(0, 0, 1), (0, 1), (0, 1, 3)])
+def test_table_rule_rejects_a_non_ranking_entry(bad):
+    outcomes = [list(p[0]) for p in all_profiles(2, 3)]
+    outcomes[7] = list(bad)
+    message = "^" + re.escape(f"{bad!r} is not a ranking of alternatives 0..2") + "$"
+    with pytest.raises(ValueError, match=message):
+        VotingRule(2, 3, outcomes=tuple(tuple(o) for o in outcomes))
+    data = {"voters": 2, "alternatives": 3, "kind": "table", "entries": outcomes}
+    with pytest.raises(ValueError, match=message):
+        rule_from_json_dict(data)
 
 
 def test_rule_json_rejects_garbage():
