@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -46,10 +47,38 @@ from .social_choice import (
 
 DEFAULT_THETAS = (0.0, pi / 8, pi / 4, 3 * pi / 8, pi / 2)
 TSIRELSON = 2 * sqrt(2.0)
+_JSON_SCALARS = frozenset((int, float, bool, type(None)))
+
+
+def _encode(value, indent: str = "") -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, for
+    dicts with str keys, lists, tuples and JSON scalars.
+
+    With indent, json.dumps runs CPython's pure-Python encoder; here every
+    list of ints, floats, bools and None is one call of the C encoder, whose
+    ", "-separated items are split apart.  No number, true, false, null,
+    NaN or Infinity contains ", ", and strings never take that path.  Other
+    scalars (subclasses such as numpy floats) go through json.dumps one by
+    one, which gives the same bytes."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = (f"{json.dumps(k)}: {_encode(value[k], inner)}" for k in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if _JSON_SCALARS.issuperset(map(type, value)):
+            items = json.dumps(value)[1:-1].split(", ")
+        else:
+            items = (_encode(x, inner) for x in value)
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _emit(report: dict, output: str):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = _encode(report) + "\n"
     if output == "-":
         sys.stdout.write(text)
     else:
@@ -68,7 +97,7 @@ def _run_verify_arrow(args):
     config = {"voters": args.voters, "alternatives": args.alternatives}
     verification = verify_arrow(args.voters, args.alternatives)
     results = verification.to_json_dict()
-    results["rules"] = [[list(t) for t in r.tables] for r in verification.rules]
+    results["rules"] = verification.rules.tables.tolist()
     results["stats"] = verification.stats()
     if args.alternatives > 2:
         passed = verification.all_dictatorial
@@ -219,7 +248,10 @@ def _run_ks_verify(args):
 
 # ---- driver ----
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The arrowq parser, built on first use and shared by later main()
+    calls; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="arrowq",
         description="Voting impossibility checks, ballot-circuit cloning tests, "

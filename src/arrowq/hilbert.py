@@ -19,7 +19,13 @@ import numpy as np
 
 from ._guards import check_guard
 from .orders import LinearOrder, alternative_pairs, order_rank, prefers, validate_order
-from .social_choice import VotingRule, classical_circuit_table, profile_domain, projection_rule
+from .social_choice import (
+    VotingRule,
+    _json_ints,
+    classical_circuit_table,
+    profile_domain,
+    projection_rule,
+)
 
 NORM_TOL = 1e-10
 
@@ -363,13 +369,15 @@ class KSInstance:
 
 def ks_instance_from_json_dict(data: dict) -> KSInstance:
     try:
-        d = int(data["dimension"])
+        d = data["dimension"]
+        if type(d) is not int:
+            raise ValueError(f"dimension must be an integer, got {d!r}")
         vectors = np.array(
             [[complex(re, im) for re, im in row] for row in data["vectors"]],
             dtype=complex,
         ).reshape(len(data["vectors"]), d)
-        bases = tuple(tuple(int(i) for i in b) for b in data["bases"])
-        coloring = tuple(int(c) for c in data["coloring"])
+        bases = tuple(_json_ints(b, "a basis") for b in data["bases"])
+        coloring = _json_ints(data["coloring"], "the coloring")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed coloring instance: {exc}") from exc
     return KSInstance(d, vectors, bases, coloring)

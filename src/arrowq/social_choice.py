@@ -15,11 +15,12 @@ those without a None entry or a cyclic tournament, so partial tables work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -401,12 +402,35 @@ def arrow_report(rule: VotingRule) -> ArrowReport:
 
 # ---- exhaustive search for fair rules ----
 
-class FairRules(list):
+@dataclass(eq=False)
+class FairRules(Sequence):
     """The fair rules in search order, plus the search's counters: clauses
     (unit clauses and nogoods), decisions (branch values tried),
-    propagations (literals set by unit propagation) and conflicts."""
+    propagations (literals set by unit propagation) and conflicts.
 
-    clauses = decisions = propagations = conflicts = 0
+    tables[r, k, v] is bit v of rule r's table for the k-th pair; indexing
+    or iterating builds that row's pairwise VotingRule on demand."""
+
+    voters: int
+    alternatives: int
+    tables: np.ndarray
+    clauses: int = 0
+    decisions: int = 0
+    propagations: int = 0
+    conflicts: int = 0
+
+    def __len__(self) -> int:
+        return len(self.tables)
+
+    def __getitem__(self, i: int) -> VotingRule:
+        tables = tuple(map(tuple, self.tables[i].tolist()))
+        return VotingRule(self.voters, self.alternatives, tables=tables)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FairRules):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 def _cyclic_nogoods(m: int, n: int) -> np.ndarray:
@@ -458,7 +482,8 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
 
     state = [0] * (2 * nvars)  # per literal: 1 true, -1 false, 0 unassigned
     trail = []
-    rules = FairRules()
+    completions = []
+    rules = FairRules(m, n, tables=None)
 
     def propagate(lits) -> bool:
         """Make lits true plus everything they force; False on a conflict.
@@ -491,11 +516,13 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
         while var < nvars and state[2 * var]:
             var += 1
         if var > last_constrained:
-            # the product of every variable's allowed bits, in table order
-            bits = [(int(state[2 * v + 1] > 0),) if state[2 * v] else (0, 1)
-                    for v in range(nvars)]
-            tables = [product(*bits[k * size:(k + 1) * size]) for k in range(npairs)]
-            rules.extend(VotingRule(m, n, tables=combo) for combo in product(*tables))
+            # every completion of the unassigned variables, the lowest one
+            # most significant, so the rows come out in table order
+            assigned = np.array(state, dtype=np.int8).reshape(nvars, 2)  # [var, bit]
+            free = np.flatnonzero(assigned[:, 0] == 0)
+            rows = np.repeat((assigned[:, 1] > 0).astype(np.int8)[None], 1 << len(free), axis=0)
+            rows[:, free] = np.arange(len(rows))[:, None] >> np.arange(len(free))[::-1] & 1
+            completions.append(rows.reshape(len(rows), npairs, size))
             return
         for value in (0, 1):
             rules.decisions += 1
@@ -513,6 +540,7 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     rules.propagations += len(trail)
     rules.clauses = len(units) + len(nogoods)
     branch(0)
+    rules.tables = np.concatenate(completions)
     return rules
 
 
@@ -531,7 +559,7 @@ class ArrowVerification:
     decisions: int
     propagations: int
     conflicts: int
-    rules: tuple[VotingRule, ...] = field(repr=False)
+    rules: FairRules = field(repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -563,16 +591,14 @@ def verify_arrow(m: int, n: int) -> ArrowVerification:
     table; one array comparison gives find_dictator for every rule.
     """
     rules = enumerate_fair_rules(m, n)
-    size, npairs = 1 << m, len(alternative_pairs(n))
-    tables = np.array([r.tables for r in rules], dtype=np.int8).reshape(len(rules), npairs, size)
-    projections = (np.arange(size) >> np.arange(m)[:, None]) & 1
-    copies = (tables[:, None] == projections[None, :, None]).all(axis=(2, 3))
-    per_rule = tuple(int(c.argmax()) if c.any() else None for c in copies)
-    dictators = tuple(sorted({d for d in per_rule if d is not None}))
-    all_dict = all(d is not None for d in per_rule)
+    projections = (np.arange(1 << m) >> np.arange(m)[:, None]) & 1
+    copies = (rules.tables[:, None] == projections[None, :, None]).all(axis=(2, 3))
+    dictated, first = copies.any(axis=1), copies.argmax(axis=1)
+    per_rule = tuple(d if hit else None for d, hit in zip(first.tolist(), dictated.tolist()))
+    dictators = tuple(np.unique(first[dictated]).tolist())
     return ArrowVerification(
-        m, n, len(rules), all_dict, dictators, per_rule,
-        rules.clauses, rules.decisions, rules.propagations, rules.conflicts, tuple(rules),
+        m, n, len(rules), bool(dictated.all()), dictators, per_rule,
+        rules.clauses, rules.decisions, rules.propagations, rules.conflicts, rules,
     )
 
 
@@ -626,20 +652,28 @@ def rule_to_json_dict(rule: VotingRule) -> dict:
     }
 
 
+def _json_ints(value, what: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple; anything else raises ValueError
+    rather than being truncated (1.9) or coerced ("1", true)."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def rule_from_json_dict(data: dict) -> VotingRule:
     try:
-        m = int(data["voters"])
-        n = int(data["alternatives"])
+        m, n = data["voters"], data["alternatives"]
         kind = data["kind"]
         entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed rule object: {exc}") from exc
+    if type(m) is not int or type(n) is not int:
+        raise ValueError(f"voters and alternatives must be integers, got {m!r} and {n!r}")
+    if not isinstance(entries, list):
+        raise ValueError(f"rule entries must be a list, got {entries!r}")
     if kind == "pairwise":
-        tables = tuple(tuple(int(bit) for bit in t) for t in entries)
-        return VotingRule(m, n, tables=tables)
+        return VotingRule(m, n, tables=tuple(_json_ints(t, "a pair table") for t in entries))
     if kind == "table":
-        outs = tuple(
-            None if out is None else tuple(int(x) for x in out) for out in entries
-        )
+        outs = tuple(None if out is None else _json_ints(out, "an outcome") for out in entries)
         return VotingRule(m, n, outcomes=outs)
     raise ValueError(f"unknown rule kind {kind!r}")

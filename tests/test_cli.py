@@ -1,11 +1,14 @@
+import hashlib
 import json
 import subprocess
 import sys
-from math import sqrt
+from math import inf, nan, sqrt
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from arrowq import cli, social_choice
+from arrowq._guards import GUARD_ENV
 from arrowq.hilbert import ks_instance_from_rule
 from arrowq.social_choice import (
     pairwise_majority_rule,
@@ -27,6 +30,17 @@ def run_cli(*argv, check_stderr_timing=True):
 
 def report_of(proc):
     return json.loads(proc.stdout)
+
+
+def run_main(capsys, *argv):
+    """cli.main in-process: (exit code, stdout, stderr)."""
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def stdlib_layout(text):
+    return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 # ---- determinism: identical invocations give byte-identical reports ----
@@ -84,6 +98,21 @@ def test_verify_arrow_runs_the_search_once(monkeypatch, capsys):
     assert cli.main(["verify-arrow", "--voters", "2", "--alternatives", "3"]) == 0
     assert calls == [(2, 3)]
     assert len(json.loads(capsys.readouterr().out)["results"]["rules"]) == 2
+
+
+def test_verify_arrow_builds_no_voting_rule(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("a VotingRule was built")
+
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    monkeypatch.setattr(social_choice.VotingRule, "__post_init__", refuse)
+    code, out, _ = run_main(capsys, "verify-arrow", "--voters", "4", "--alternatives", "2")
+    assert code == 0
+    assert len(json.loads(out)["results"]["rules"]) == 16384
+    assert out == stdlib_layout(out)
+    # frozen: digest of the report json.dumps wrote from per-rule VotingRule objects
+    digest = "a8627c997fc4ff446c33afa87dde4696963a08276cea2e67f429237a8164f459"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_arrow_reports_search_stats():
@@ -167,6 +196,38 @@ def test_clone_test_rejects_a_non_ranking_entry(tmp_path):
     proc = run_cli("clone-test", "--rule", str(path))
     assert proc.returncode == 2
     assert proc.stderr == "error: (0, 0, 1) is not a ranking of alternatives 0..2\n"
+
+
+@pytest.mark.parametrize(
+    "kind, entries, message",
+    [
+        ("table", [5, [0, 1]], "an outcome must be a list of integers, got 5"),
+        ("table", [[1.5, 0], [0, 1]], "an outcome must be a list of integers, got [1.5, 0]"),
+        ("table", [[0, 1], ["1", 0]], "an outcome must be a list of integers, got ['1', 0]"),
+        ("pairwise", [3], "a pair table must be a list of integers, got 3"),
+        ("pairwise", 3, "rule entries must be a list, got 3"),
+        ("pairwise", [[0, 1.9]], "a pair table must be a list of integers, got [0, 1.9]"),
+        ("pairwise", [[0, "1"]], "a pair table must be a list of integers, got [0, '1']"),
+        ("pairwise", [[0, True]], "a pair table must be a list of integers, got [0, True]"),
+    ],
+)
+def test_clone_test_rejects_non_integer_rule_entries(tmp_path, capsys, kind, entries, message):
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(
+        {"voters": 1, "alternatives": 2, "kind": kind, "entries": entries}
+    ))
+    assert run_main(capsys, "clone-test", "--rule", str(path)) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("key", ["voters", "alternatives"])
+def test_clone_test_rejects_a_non_integer_size(tmp_path, capsys, key):
+    data = rule_to_json_dict(projection_rule(1, 2, 0))
+    data[key] = float(data[key])
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_main(capsys, "clone-test", "--rule", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: voters and alternatives must be integers") and err.count("\n") == 1
 
 
 def test_clone_test_missing_file_exits_two(tmp_path):
@@ -310,6 +371,35 @@ def test_ks_verify_out_of_range_basis_index_exits_two(tmp_path, index):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+TWO_DIM_INSTANCE = {
+    "dimension": 2,
+    "vectors": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+    "bases": [[0, 1]],
+    "coloring": [1, 0],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("dimension", 2.0, "dimension must be an integer, got 2.0"),
+        ("bases", [[0, 1.7]], "a basis must be a list of integers, got [0, 1.7]"),
+        ("bases", [[0, True]], "a basis must be a list of integers, got [0, True]"),
+        ("coloring", [1, 0.4], "the coloring must be a list of integers, got [1, 0.4]"),
+        ("coloring", [1, "0"], "the coloring must be a list of integers, got [1, '0']"),
+    ],
+)
+def test_ks_verify_rejects_non_integers(tmp_path, capsys, key, value, message):
+    # int() would truncate these into a valid instance that passes
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(TWO_DIM_INSTANCE))
+    assert run_main(capsys, "ks-verify", "--instance", str(path))[0] == 0
+    path.write_text(json.dumps({**TWO_DIM_INSTANCE, key: value}))
+    assert run_main(capsys, "ks-verify", "--instance", str(path)) == (
+        2, "", f"error: malformed coloring instance: {message}\n"
+    )
+
+
 def test_ks_verify_missing_instance_flag():
     proc = run_cli("ks-verify", check_stderr_timing=False)
     assert proc.returncode == 2
@@ -343,3 +433,73 @@ def test_seed_is_echoed_in_config():
 def test_json_flag_is_accepted():
     proc = run_cli("energy", "--json")
     assert proc.returncode == 0
+
+
+# ---- report writer and parser reuse ----
+
+json_text = st.text(st.sampled_from(list(', []{}":\\\x00\né雪1a')))
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.sampled_from([nan, inf, -inf, -0.0, 1e300]) | json_text)
+json_values = st.recursive(
+    json_scalars,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(json_text, kids),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@example([[[[[[[[[[]]]]]]]]]])
+@example({"a": {"b": {"c": [{}, [], ()]}}})
+@example([["a, b", "[1, 2]"], [1, 2.5, None, True, nan, -inf], (0, -0.0, 1e300)])
+@example({", ": [", "], "": {"\"": "é, 雪"}})
+def test_report_writer_matches_json_dumps(value):
+    assert cli._encode(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_every_subcommand_report_has_the_stdlib_layout(tmp_path, capsys):
+    instance = make_instance_file(tmp_path)
+    for argv in (
+        ("verify-arrow", "--voters", "3", "--alternatives", "2"),
+        ("clone-test", "--theta", "0.1,0.7853981633974483"),
+        ("bell", "--inequality", "ch", "--optimize"),
+        ("energy", "--timing"),
+        ("ks-verify", "--instance", str(instance)),
+    ):
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0
+        assert out == stdlib_layout(out)
+
+
+def test_parser_is_built_once(capsys):
+    cli.build_parser.cache_clear()
+    for argv in (("energy",), ("verify-arrow",), ("bell",), ("energy", "--voters", "4")):
+        assert run_main(capsys, *argv)[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+# defaults follow non-default values of the same flags, so state the
+# parser kept from one call would show in the next report
+INTERLEAVED = [
+    ("verify-arrow", "--voters", "3", "--alternatives", "2"),
+    ("bell", "--inequality", "ch", "--optimize"),
+    ("verify-arrow",),
+    ("energy", "--variant", "literal", "--T", "10"),
+    ("bell",),
+    ("energy",),
+    ("verify-arrow", "--voters", "3", "--alternatives", "2"),
+    ("bell", "--inequality", "ch", "--optimize"),
+]
+
+
+def test_in_process_calls_match_fresh_processes(capsys):
+    fresh = {
+        argv: subprocess.Popen(BASE + list(argv), stdout=subprocess.PIPE,
+                               stderr=subprocess.DEVNULL, text=True)
+        for argv in dict.fromkeys(INTERLEAVED)
+    }
+    expected = {argv: (proc.communicate(timeout=120)[0], proc.returncode)
+                for argv, proc in fresh.items()}
+    for argv in INTERLEAVED:
+        code, out, _ = run_main(capsys, *argv)
+        assert (out, code) == expected[argv]

@@ -308,6 +308,8 @@ def test_verify_arrow_dichotomy():
     v = verify_arrow(2, 3)
     assert (v.fair_rule_count, v.all_dictatorial, v.dictators) == (2, True, (0, 1))
     assert v.rule_dictators == (1, 0)
+    assert verify_arrow(2, 3) == v and v.rules == enumerate_fair_rules(2, 3)
+    assert verify_arrow(2, 2).rules != v.rules and v.rules != list(v.rules)
     v22 = verify_arrow(2, 2)
     assert not v22.all_dictatorial
     assert v22.fair_rule_count == 4
@@ -385,7 +387,7 @@ def test_single_alternative_fair_rule_is_pairwise():
 
 
 @pytest.mark.parametrize(
-    "m, n", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3)]
+    "m, n", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (3, 1)]
 )
 def test_batched_dictators_match_find_dictator(m, n):
     v = verify_arrow(m, n)
