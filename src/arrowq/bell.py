@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._guards import check_guard
 from .hilbert import PureState
 from .orders import LinearOrder, enumerate_orders, reverse_order
 from .social_choice import VotingRule, profile_domain
@@ -159,21 +158,14 @@ def chsh_optimal_axes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return z, x, b1, b2
 
 
-def classical_bound(
-    expression: str, alice_settings: int = 2, bob_settings: int = 2
-) -> tuple[float, float]:
+def classical_bound(expression: str) -> tuple[float, float]:
     """Exact (min, max) of an expression over local deterministic strategies:
-    every assignment of a fixed +-1 outcome to each setting of each party."""
-    if alice_settings < 1 or bob_settings < 1:
-        raise ValueError("each party needs at least one setting")
-    check_guard(alice_settings, 4, "deterministic-strategy settings per party")
-    check_guard(bob_settings, 4, "deterministic-strategy settings per party")
+    every assignment of a fixed +-1 outcome to each of the two settings of
+    each party."""
     expr = expression.lower()
-    if expr in ("chsh", "ch") and (alice_settings, bob_settings) != (2, 2):
-        raise ValueError(f"{expression} needs exactly 2 settings per party")
     lo, hi = np.inf, -np.inf
-    for alpha in product((-1.0, 1.0), repeat=alice_settings):
-        for beta in product((-1.0, 1.0), repeat=bob_settings):
+    for alpha in product((-1.0, 1.0), repeat=2):
+        for beta in product((-1.0, 1.0), repeat=2):
             if expr == "chsh":
                 val = (
                     alpha[0] * beta[0]
@@ -384,21 +376,30 @@ def default_scenario() -> TwoPartyScenario:
     return TwoPartyScenario((a1, a2), (b1, b2), singlet_state())
 
 
+def _json_floats(value, what: str) -> np.ndarray:
+    """A JSON list of numbers as a float array; anything else raises
+    ValueError rather than being coerced ("1", true)."""
+    if not isinstance(value, list) or any(type(x) not in (int, float) for x in value):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
 def scenario_from_json_dict(data: dict) -> TwoPartyScenario:
+    """A scenario from its JSON object; absent keys take the default
+    scenario's axes or state."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a scenario must be a JSON object, got {type(data).__name__}")
     base = default_scenario()
+    alice, bob, state = base.alice_axes, base.bob_axes, base.state
     try:
-        alice = tuple(
-            np.asarray(a, dtype=float) for a in data.get("alice_axes", base.alice_axes)
-        )
-        bob = tuple(
-            np.asarray(b, dtype=float) for b in data.get("bob_axes", base.bob_axes)
-        )
+        if "alice_axes" in data:
+            alice = tuple(_json_floats(a, "an axis") for a in data["alice_axes"])
+        if "bob_axes" in data:
+            bob = tuple(_json_floats(b, "an axis") for b in data["bob_axes"])
         if "state" in data:
-            amps = np.array([complex(re, im) for re, im in data["state"]], dtype=complex)
-            state = PureState(amps, 2, 2)
-        else:
-            state = base.state
-    except (TypeError, ValueError) as exc:
+            pairs = [_json_floats(z, "a state amplitude") for z in data["state"]]
+            state = PureState(np.array([complex(re, im) for re, im in pairs], dtype=complex), 2, 2)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float
         raise ValueError(f"malformed scenario: {exc}") from exc
     return TwoPartyScenario(alice, bob, state)
 

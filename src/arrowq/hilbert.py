@@ -28,6 +28,8 @@ from .social_choice import (
 )
 
 NORM_TOL = 1e-10
+# no_cloning_scan: a sample whose largest amplitude reaches 1 - BASIS_TOL is basis-like
+BASIS_TOL = 1e-6
 
 
 # ---- spaces and states ----
@@ -276,14 +278,13 @@ def no_cloning_scan(
     voter: int = 0,
     m: int = 2,
     states: Optional[Sequence[PureState]] = None,
-    basis_tol: float = 1e-6,
 ) -> NoCloningReport:
     """Minimum cloning fidelity over sampled ballot superpositions.
 
     Default sampling draws theta uniformly on [0, pi/2] and tests
     cos(theta)|b0> + sin(theta)|b1> on the first two ballot rays, so runs
     are reproducible from the seed.  States whose largest amplitude reaches
-    1 - basis_tol count as basis-like; every other sample must clone with
+    1 - BASIS_TOL count as basis-like; every other sample must clone with
     fidelity strictly below 1 - 1e-6 for the report to certify failure.
     """
     circuit = lift_rule_to_unitary(space, projection_rule(m, space.n, voter))
@@ -311,7 +312,7 @@ def no_cloning_scan(
     nonbasis_ok = True
     for psi, theta in zip(samples, thetas):
         f = cloning_fidelity(circuit, voter, psi)
-        if np.max(np.abs(psi.amplitudes)) >= 1.0 - basis_tol:
+        if np.max(np.abs(psi.amplitudes)) >= 1.0 - BASIS_TOL:
             basis_like += 1
         elif f >= threshold:
             nonbasis_ok = False
@@ -343,13 +344,14 @@ class KSInstance:
         vecs = np.asarray(self.vectors, dtype=complex)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "bases", tuple(tuple(b) for b in self.bases))
+        # checked before int() would truncate a bit such as 0.4 to 0
+        if any(c not in (0, 1) for c in self.coloring):
+            raise ValueError("coloring bits must be 0 or 1")
         object.__setattr__(self, "coloring", tuple(int(c) for c in self.coloring))
         if vecs.ndim != 2 or vecs.shape[1] != self.dimension:
             raise ValueError("vectors must be rows of length `dimension`")
         if len(self.coloring) != vecs.shape[0]:
             raise ValueError("coloring must assign a bit to every vector")
-        if any(c not in (0, 1) for c in self.coloring):
-            raise ValueError("coloring bits must be 0 or 1")
         if any(not 0 <= i < vecs.shape[0] for basis in self.bases for i in basis):
             raise ValueError(f"basis indices must lie in 0..{vecs.shape[0] - 1}")
         norms = np.linalg.norm(vecs, axis=1)

@@ -402,11 +402,11 @@ def arrow_report(rule: VotingRule) -> ArrowReport:
 
 # ---- exhaustive search for fair rules ----
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FairRules(Sequence):
     """The fair rules in search order, plus the search's counters: clauses
     (unit clauses and nogoods), decisions (branch values tried),
-    propagations (literals set by unit propagation) and conflicts.
+    propagations (variables set by unit propagation) and conflicts.
 
     tables[r, k, v] is bit v of rule r's table for the k-th pair; indexing
     or iterating builds that row's pairwise VotingRule on demand."""
@@ -414,10 +414,10 @@ class FairRules(Sequence):
     voters: int
     alternatives: int
     tables: np.ndarray
-    clauses: int = 0
-    decisions: int = 0
-    propagations: int = 0
-    conflicts: int = 0
+    clauses: int
+    decisions: int
+    propagations: int
+    conflicts: int
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -450,6 +450,31 @@ def _cyclic_nogoods(m: int, n: int) -> np.ndarray:
     return np.stack([2 * var + (1, 1, 0), 2 * var + (0, 0, 1)], axis=1).reshape(-1, 3)
 
 
+def _propagate(values: np.ndarray, var: np.ndarray, bit: np.ndarray) -> bool:
+    """Unit propagation over nogoods, in place: values holds one int8 per
+    variable (-1 unassigned) and nogood c is the three literals var[i, c] =
+    bit[i, c].  Each sweep reads every nogood and, where two of its
+    literals are true and the third is unassigned, sets that variable to
+    the other value, until a sweep sets nothing.  False on a conflict: a
+    nogood with all three literals true, or a sweep that would set one
+    variable both ways, in which case that sweep assigns nothing."""
+    while True:
+        lits = values[var]
+        true = (lits == bit).sum(axis=0, dtype=np.int8)
+        if (true == 3).any():
+            return False
+        forced = (true == 2) & (lits < 0)
+        if not forced.any():
+            return True
+        v, b = var[forced], 1 - bit[forced]
+        new = values.copy()
+        new[v] = b
+        # a variable forced both ways keeps one write; the other reads back wrong
+        if (new[v] != b).any():
+            return False
+        values[v] = b
+
+
 def enumerate_fair_rules(m: int, n: int) -> FairRules:
     """All pairwise-decomposable rules that respect unanimity on every pair
     and stay transitive on every profile, in lexicographic order of their
@@ -460,94 +485,64 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     x[k][2^m - 1] = 1; each triple x < y < z and each way the voters rank
     it give two 3-literal nogoods, one per cyclic outcome.  The search
     branches on the lowest unassigned variable, 0 before 1, and sets every
-    literal the clauses then force (unit propagation), so the rules come
-    out in table order.  Once every unassigned variable lies past the last
-    one in a nogood (from the start at n <= 2), every completion of the
-    rest is a fair rule, and they are listed without branching.
+    variable the clauses then force (unit propagation), so the rules come
+    out in table order.  Each branch value propagates on a copy of its
+    parent's assignment, so nothing is undone.  Once every unassigned
+    variable lies past the last one in a nogood (from the start at n <= 2),
+    every completion of the rest is a fair rule, and they are listed
+    without branching.
     """
     if m < 1 or n < 1:
         raise ValueError("need at least one voter and one alternative")
     check_guard(n, MAX_ALTERNATIVES, "alternative count for rule enumeration")
     check_guard(1 << m, 16, "profile bit-vector size 2^m")
     size, npairs = 1 << m, len(alternative_pairs(n))
-    nvars = npairs * size
     nogoods = _cyclic_nogoods(m, n)
-    # occurs[lit]: the other two literals of every nogood containing lit
-    occurs = [[] for _ in range(2 * nvars)]
-    for a, b, c in nogoods.tolist():
-        occurs[a].append((b, c))
-        occurs[b].append((a, c))
-        occurs[c].append((a, b))
-    last_constrained = int(nogoods.max()) >> 1 if len(nogoods) else -1
+    literals = nogoods.T.copy()  # [3, C]: a sweep sums three contiguous rows
+    var, bit = literals >> 1, (literals & 1).astype(np.int8)
+    last_constrained = int(var.max(initial=-1))
 
-    state = [0] * (2 * nvars)  # per literal: 1 true, -1 false, 0 unassigned
-    trail = []
+    # unanimity: x[k][0] = 0 and x[k][2^m - 1] = 1
+    values = np.full((npairs, size), -1, dtype=np.int8)
+    values[:, 0], values[:, -1] = 0, 1
+    values = values.ravel()
+    _propagate(values, var, bit)
+    clauses = 2 * npairs + len(nogoods)
+    decisions, propagations, conflicts = 0, int((values >= 0).sum()), 0
+
     completions = []
-    rules = FairRules(m, n, tables=None)
-
-    def propagate(lits) -> bool:
-        """Make lits true plus everything they force; False on a conflict.
-
-        Once two literals of a nogood are true the negation of the third is
-        queued, so a conflict always shows as popping a false literal."""
-        stack = list(lits)
-        while stack:
-            lit = stack.pop()
-            if state[lit]:
-                if state[lit] < 0:
-                    rules.conflicts += 1
-                    return False
-                continue
-            state[lit], state[lit ^ 1] = 1, -1
-            trail.append(lit)
-            for a, b in occurs[lit]:
-                if state[a] > 0 and not state[b]:
-                    stack.append(b ^ 1)
-                elif state[b] > 0 and not state[a]:
-                    stack.append(a ^ 1)
-        return True
-
-    def undo(mark: int):
-        while len(trail) > mark:
-            lit = trail.pop()
-            state[lit] = state[lit ^ 1] = 0
-
-    def branch(var: int):
-        while var < nvars and state[2 * var]:
-            var += 1
-        if var > last_constrained:
+    stack = [values]  # assignments still to branch on, the next on top
+    while stack:
+        values = stack.pop()
+        free = np.flatnonzero(values < 0)
+        if not free.size or free[0] > last_constrained:
             # every completion of the unassigned variables, the lowest one
             # most significant, so the rows come out in table order
-            assigned = np.array(state, dtype=np.int8).reshape(nvars, 2)  # [var, bit]
-            free = np.flatnonzero(assigned[:, 0] == 0)
-            rows = np.repeat((assigned[:, 1] > 0).astype(np.int8)[None], 1 << len(free), axis=0)
+            rows = np.repeat(values[None], 1 << len(free), axis=0)
             rows[:, free] = np.arange(len(rows))[:, None] >> np.arange(len(free))[::-1] & 1
             completions.append(rows.reshape(len(rows), npairs, size))
-            return
+            continue
+        assigned = len(values) - len(free)
+        children = []
         for value in (0, 1):
-            rules.decisions += 1
-            mark = len(trail)
-            ok = propagate([2 * var + value])
-            rules.propagations += len(trail) - mark - 1
+            decisions += 1
+            child = values.copy()
+            child[free[0]] = value
+            ok = _propagate(child, var, bit)
+            propagations += int((child >= 0).sum()) - assigned - 1
             if ok:
-                branch(var + 1)
-            undo(mark)
-
-    # unanimity: literal x[k][0] = 0 and literal x[k][2^m - 1] = 1
-    units = [2 * k * size for k in range(npairs)]
-    units += [2 * ((k + 1) * size - 1) + 1 for k in range(npairs)]
-    propagate(units)
-    rules.propagations += len(trail)
-    rules.clauses = len(units) + len(nogoods)
-    branch(0)
-    rules.tables = np.concatenate(completions)
-    return rules
+                children.append(child)
+            else:
+                conflicts += 1
+        stack.extend(reversed(children))
+    tables = np.concatenate(completions)
+    return FairRules(m, n, tables, clauses, decisions, propagations, conflicts)
 
 
 @dataclass(frozen=True)
 class ArrowVerification:
-    """Outcome of enumerating fair rules and testing each for a dictator,
-    with the search's counters (see FairRules)."""
+    """Outcome of enumerating fair rules and testing each for a dictator;
+    rules carries the search's counters."""
 
     voters: int
     alternatives: int
@@ -555,10 +550,6 @@ class ArrowVerification:
     all_dictatorial: bool
     dictators: tuple[int, ...]
     rule_dictators: tuple[Optional[int], ...]
-    clauses: int
-    decisions: int
-    propagations: int
-    conflicts: int
     rules: FairRules = field(repr=False)
 
     def to_json_dict(self) -> dict:
@@ -572,12 +563,8 @@ class ArrowVerification:
         }
 
     def stats(self) -> dict:
-        return {
-            "clauses": self.clauses,
-            "decisions": self.decisions,
-            "propagations": self.propagations,
-            "conflicts": self.conflicts,
-        }
+        return {name: getattr(self.rules, name)
+                for name in ("clauses", "decisions", "propagations", "conflicts")}
 
 
 def verify_arrow(m: int, n: int) -> ArrowVerification:
@@ -596,10 +583,7 @@ def verify_arrow(m: int, n: int) -> ArrowVerification:
     dictated, first = copies.any(axis=1), copies.argmax(axis=1)
     per_rule = tuple(d if hit else None for d, hit in zip(first.tolist(), dictated.tolist()))
     dictators = tuple(np.unique(first[dictated]).tolist())
-    return ArrowVerification(
-        m, n, len(rules), bool(dictated.all()), dictators, per_rule,
-        rules.clauses, rules.decisions, rules.propagations, rules.conflicts, rules,
-    )
+    return ArrowVerification(m, n, len(rules), bool(dictated.all()), dictators, per_rule, rules)
 
 
 # ---- reversible circuit table ----

@@ -4,7 +4,6 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 import pytest
 
-from arrowq import SizeLimitError
 from arrowq.bell import (
     arrow_scenario_table,
     ch_value,
@@ -141,14 +140,10 @@ def test_chsh_never_exceeds_tsirelson_on_product_states():
 def test_classical_bounds_exact():
     assert classical_bound("chsh") == (-2.0, 2.0)
     assert classical_bound("ch") == (-1.0, 0.0)
-    assert classical_bound("correlator", 1, 1) == (-1.0, 1.0)
+    assert classical_bound("correlator") == (-1.0, 1.0)
 
 
 def test_classical_bound_guard_and_errors():
-    with pytest.raises(SizeLimitError):
-        classical_bound("correlator", 5, 1)
-    with pytest.raises(ValueError):
-        classical_bound("chsh", 3, 2)
     with pytest.raises(ValueError):
         classical_bound("nope")
 

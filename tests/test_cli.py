@@ -299,6 +299,26 @@ def test_bell_nan_axis_exits_two(tmp_path):
     assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([], "a scenario must be a JSON object, got list"),
+        ({"alice_axes": [["0", "0", "1"], ["1", "0", "0"]]}, "an axis must be a list of numbers"),
+        ({"bob_axes": [[0, 0, True], [1, 0, 0]]}, "an axis must be a list of numbers"),
+        ({"state": [["0", 0], [0.6, 0], [-0.8, 0], [0, 0]]}, "a state amplitude must be"),
+        ({"state": [[False, 0], [0.6, 0], [-0.8, 0], [0, 0]]}, "a state amplitude must be"),
+        ({"alice_axes": [[10 ** 400, 0, 0], [1, 0, 0]]}, "int too large to convert to float"),
+    ],
+)
+def test_bell_scenario_needs_an_object_of_numbers(tmp_path, capsys, doc, message):
+    # strings and booleans are not JSON numbers, even where float() takes them
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_main(capsys, "bell", "--scenario", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 def test_bell_budget_flag_is_gone():
     proc = run_cli("bell", "--optimize", "--budget", "10", check_stderr_timing=False)
     assert proc.returncode == 2

@@ -261,6 +261,12 @@ def test_coloring_sums():
     assert not ok
 
 
+def test_coloring_rejects_non_bit_colors():
+    # int() would truncate 0.4 to 0, and the basis sum would pass
+    with pytest.raises(ValueError, match="0 or 1"):
+        KSInstance(2, np.eye(2), ((0, 1),), (1, 0.4))
+
+
 def test_coloring_rejects_non_orthonormal_basis():
     vecs = np.array([[1.0, 0.0], [2 ** -0.5, 2 ** -0.5]], dtype=complex)
     with pytest.raises(ValueError):

@@ -394,23 +394,69 @@ def test_batched_dictators_match_find_dictator(m, n):
     assert v.rule_dictators == tuple(find_dictator(rule) for rule in v.rules)
 
 
-def test_search_counters():
-    # (4,3): a unit clause per table end and two nogoods per way the four
-    # voters rank the one triple (6^4); four projections are three binary
-    # branch points, each trying both values
-    v = verify_arrow(4, 3)
-    assert v.clauses == 2 * 3 + 2 * 6 ** 4
-    assert (v.decisions, v.conflicts) == (6, 0)
-    # frozen: without conflicts unit propagation reaches a unique
-    # fixpoint, so the count does not depend on the clause order
-    assert v.propagations == 144
-    # (4,5): ten triples and ten tables
-    assert verify_arrow(4, 5).stats() == {
-        "clauses": 2 * 10 + 2 * 10 * 6 ** 4, "decisions": 6, "propagations": 494, "conflicts": 0
+# frozen: (clauses, decisions, propagations, conflicts).  Clauses are a
+# unit clause per table end and two nogoods per triple and per way the
+# voters rank it (6^m); m projections are m - 1 binary branch points, each
+# trying both values.  Without conflicts unit propagation reaches a unique
+# fixpoint, so the propagation count does not depend on the clause order.
+SEARCH_COUNTERS = {
+    (1, 1): (0, 0, 0, 0), (2, 1): (0, 0, 0, 0), (3, 1): (0, 0, 0, 0),
+    (1, 2): (2, 0, 2, 0), (2, 2): (2, 0, 2, 0), (3, 2): (2, 0, 2, 0), (4, 2): (2, 0, 2, 0),
+    (1, 3): (18, 0, 6, 0), (2, 3): (78, 2, 16, 0),
+    (3, 3): (438, 4, 50, 0), (4, 3): (2598, 6, 144, 0),
+    (1, 4): (60, 0, 12, 0), (2, 4): (300, 2, 34, 0),
+    (3, 4): (1740, 4, 104, 0), (4, 4): (10380, 6, 294, 0),
+    (2, 5): (740, 2, 58, 0), (3, 5): (4340, 4, 176, 0),
+    (4, 5): (25940, 6, 494, 0), (4, 8): (145208, 6, 1394, 0),
+}
+
+
+@pytest.mark.parametrize("m, n", SEARCH_COUNTERS)
+def test_search_counters(m, n):
+    clauses, decisions, propagations, conflicts = SEARCH_COUNTERS[m, n]
+    triples = len(list(combinations(range(n), 3)))
+    assert clauses == 2 * len(alternative_pairs(n)) + 2 * triples * 6 ** m
+    assert verify_arrow(m, n).stats() == {
+        "clauses": clauses, "decisions": decisions,
+        "propagations": propagations, "conflicts": conflicts,
     }
-    assert verify_arrow(4, 2).stats() == {
-        "clauses": 2, "decisions": 0, "propagations": 2, "conflicts": 0
-    }
+
+
+def literals(*nogoods):
+    """_propagate's var and bit arrays for nogoods given as ((var, bit), ...)."""
+    lits = np.array(nogoods).transpose(1, 0, 2)  # [3, C, (var, bit)]
+    return lits[..., 0], lits[..., 1].astype(np.int8)
+
+
+def test_propagate_chain_reaches_fixpoint():
+    # x0 = 1 and x1 = 1 force x2 = 0; x1 = 1 and x2 = 0 force x3 = 1; the
+    # last nogood never has two true literals
+    var, bit = literals(
+        ((0, 1), (1, 1), (2, 1)), ((1, 1), (2, 0), (3, 0)), ((3, 0), (4, 1), (0, 0))
+    )
+    values = np.array([1, 1, -1, -1, -1], dtype=np.int8)
+    assert social_choice._propagate(values, var, bit)
+    assert values.tolist() == [1, 1, 0, 1, -1]
+
+
+def test_propagate_all_true_nogood_is_a_conflict():
+    var, bit = literals(((0, 1), (1, 0), (2, 1)))
+    assert not social_choice._propagate(np.array([1, 0, 1], dtype=np.int8), var, bit)
+    # one literal false: the nogood holds and forces nothing
+    values = np.array([1, 1, 1], dtype=np.int8)
+    assert social_choice._propagate(values, var, bit)
+    assert values.tolist() == [1, 1, 1]
+
+
+def test_propagate_variable_forced_both_ways():
+    # with x0 = x1 = 1 one nogood forces x2 = 0 and the other x2 = 1; the
+    # sweep that finds it assigns nothing, x3's forcing included
+    var, bit = literals(
+        ((0, 1), (1, 1), (2, 1)), ((0, 1), (1, 1), (2, 0)), ((0, 1), (1, 1), (3, 1))
+    )
+    values = np.array([1, 1, -1, -1], dtype=np.int8)
+    assert not social_choice._propagate(values, var, bit)
+    assert values.tolist() == [1, 1, -1, -1]
 
 
 # ---- reversible circuit table ----
