@@ -1,14 +1,21 @@
-"""Size guards shared across modules.
+"""Input guards shared across modules.
 
 Every exhaustive operation checks its input against a fixed limit before
 doing factorial or exponential work.  Limits can be raised (never lowered)
 by setting the ARROWQ_GUARD_OVERRIDE environment variable to a positive
 integer multiplier.
+
+Each JSON value kind has one reader below; it raises ValueError on anything
+else json yields (true, "1", 1.9, NaN, 10**400) instead of coercing it.
 """
 
 import os
+from math import isfinite
+
+import numpy as np
 
 GUARD_ENV = "ARROWQ_GUARD_OVERRIDE"
+_NUMBERS = frozenset((int, float))  # type(True) is bool, so true is not one
 
 
 class SizeLimitError(ValueError):
@@ -35,3 +42,40 @@ def check_guard(value: int, base_limit: int, what: str) -> None:
             f"{what} = {value} exceeds the size guard {limit}"
             f" (set {GUARD_ENV} to raise it)"
         )
+
+
+# ---- JSON values ----
+
+def json_ints(value, what: str) -> tuple[int, ...]:
+    """A JSON list of integers as a tuple."""
+    if type(value) is not list or any(type(x) is not int for x in value):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
+def json_floats(value, what: str) -> np.ndarray:
+    """A JSON list of finite numbers as a float array."""
+    if type(value) is not list or not _NUMBERS.issuperset(map(type, value)):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    try:
+        out = np.array(value, dtype=float)
+    except OverflowError as exc:  # an int past the float range
+        raise ValueError(f"{what} must be finite, got an {exc}") from None
+    if not np.isfinite(out).all():
+        bad = next(x for x in value if not isfinite(x))
+        raise ValueError(f"{what} must be finite, got {bad!r}")
+    return out
+
+
+def json_amplitudes(value, what: str) -> np.ndarray:
+    """A JSON list of [re, im] pairs of finite numbers as a complex vector."""
+    for z in value if type(value) is list else [value]:
+        if (type(z) is not list or len(z) != 2
+                or type(z[0]) not in _NUMBERS or type(z[1]) not in _NUMBERS):
+            raise ValueError(f"{what} must be an [re, im] pair of numbers, got {z!r}")
+    return json_floats([x for z in value for x in z], what).view(complex)
+
+
+def amplitudes_to_json(amplitudes: np.ndarray) -> list:
+    """Complex amplitudes, any shape, as nested lists of [re, im] floats."""
+    return np.stack((amplitudes.real, amplitudes.imag), axis=-1).tolist()

@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._guards import amplitudes_to_json, json_amplitudes, json_floats
 from .hilbert import PureState
 from .orders import LinearOrder, enumerate_orders, reverse_order
 from .social_choice import VotingRule, profile_domain
@@ -44,8 +45,7 @@ def unit_axis(v) -> np.ndarray:
     axis = np.asarray(v, dtype=float)
     if axis.shape != (3,):
         raise ValueError("axis must be a 3-vector")
-    # a NaN component fails no comparison, so finiteness is tested on its own
-    if not np.isfinite(axis).all() or abs(float(np.linalg.norm(axis)) - 1.0) > AXIS_TOL:
+    if not abs(float(np.linalg.norm(axis)) - 1.0) <= AXIS_TOL:  # NaN and inf fail too
         raise ValueError(f"axis {axis.tolist()} is not a finite unit vector")
     return axis
 
@@ -107,10 +107,7 @@ class InequalityResult:
             "classical_lower": self.classical_lower,
             "classical_upper": self.classical_upper,
             "violated": self.violated,
-            "axes": {
-                "alice": [[float(x) for x in ax] for ax in alice],
-                "bob": [[float(x) for x in ax] for ax in bob],
-            },
+            "axes": {"alice": [ax.tolist() for ax in alice], "bob": [ax.tolist() for ax in bob]},
         }
 
 
@@ -363,25 +360,15 @@ class TwoPartyScenario:
 
     def to_json_dict(self) -> dict:
         return {
-            "alice_axes": [[float(x) for x in a] for a in self.alice_axes],
-            "bob_axes": [[float(x) for x in b] for b in self.bob_axes],
-            "state": [
-                [float(z.real), float(z.imag)] for z in self.state.amplitudes
-            ],
+            "alice_axes": [a.tolist() for a in self.alice_axes],
+            "bob_axes": [b.tolist() for b in self.bob_axes],
+            "state": amplitudes_to_json(self.state.amplitudes),
         }
 
 
 def default_scenario() -> TwoPartyScenario:
     a1, a2, b1, b2 = chsh_optimal_axes()
     return TwoPartyScenario((a1, a2), (b1, b2), singlet_state())
-
-
-def _json_floats(value, what: str) -> np.ndarray:
-    """A JSON list of numbers as a float array; anything else raises
-    ValueError rather than being coerced ("1", true)."""
-    if not isinstance(value, list) or any(type(x) not in (int, float) for x in value):
-        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
-    return np.array(value, dtype=float)
 
 
 def scenario_from_json_dict(data: dict) -> TwoPartyScenario:
@@ -393,13 +380,12 @@ def scenario_from_json_dict(data: dict) -> TwoPartyScenario:
     alice, bob, state = base.alice_axes, base.bob_axes, base.state
     try:
         if "alice_axes" in data:
-            alice = tuple(_json_floats(a, "an axis") for a in data["alice_axes"])
+            alice = tuple(json_floats(a, "an axis") for a in data["alice_axes"])
         if "bob_axes" in data:
-            bob = tuple(_json_floats(b, "an axis") for b in data["bob_axes"])
+            bob = tuple(json_floats(b, "an axis") for b in data["bob_axes"])
         if "state" in data:
-            pairs = [_json_floats(z, "a state amplitude") for z in data["state"]]
-            state = PureState(np.array([complex(re, im) for re, im in pairs], dtype=complex), 2, 2)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float
+            state = PureState(json_amplitudes(data["state"], "a state amplitude"), 2, 2)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed scenario: {exc}") from exc
     return TwoPartyScenario(alice, bob, state)
 

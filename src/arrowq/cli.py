@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from functools import lru_cache
-from math import cos, pi, sin, sqrt
+from math import cos, factorial, inf, pi, sin, sqrt
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .hilbert import (
 )
 from .landauer import EnergyParams, voting_energy
 from .social_choice import (
+    check_circuit_size,
     find_dictator,
     projection_rule,
     rule_from_json_dict,
@@ -110,9 +111,12 @@ def _run_clone_test(args):
     thetas = DEFAULT_THETAS if args.theta is None else tuple(
         float(x) for x in args.theta.split(",") if x.strip()
     )
+    if not 0 <= args.tolerance < inf:
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if args.rule is not None:
         rule = rule_from_json_dict(_load_json(args.rule))
     else:
+        check_circuit_size(args.voters, factorial(args.alternatives))  # before 2^m-bit tables
         rule = projection_rule(args.voters, args.alternatives, 0)
     m, n = rule.voters, rule.alternatives
     space = BallotSpace(n)
@@ -316,7 +320,7 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started

@@ -9,7 +9,7 @@ index = ancilla * d^m + sum(p_i * d^(m-1-i)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import combinations
 from math import comb, factorial, isclose
@@ -17,15 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._guards import check_guard
+from ._guards import amplitudes_to_json, check_guard, json_amplitudes, json_ints
 from .orders import LinearOrder, alternative_pairs, order_rank, prefers, validate_order
-from .social_choice import (
-    VotingRule,
-    _json_ints,
-    classical_circuit_table,
-    profile_domain,
-    projection_rule,
-)
+from .social_choice import VotingRule, classical_circuit_table, profile_domain, projection_rule
 
 NORM_TOL = 1e-10
 # no_cloning_scan: a sample whose largest amplitude reaches 1 - BASIS_TOL is basis-like
@@ -260,15 +254,7 @@ class NoCloningReport:
     threshold: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "min_fidelity": self.min_fidelity,
-            "min_theta": self.min_theta,
-            "basis_like_count": self.basis_like_count,
-            "nonbasis_strictly_below": self.nonbasis_strictly_below,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
 def no_cloning_scan(
@@ -354,16 +340,13 @@ class KSInstance:
             raise ValueError("coloring must assign a bit to every vector")
         if any(not 0 <= i < vecs.shape[0] for basis in self.bases for i in basis):
             raise ValueError(f"basis indices must lie in 0..{vecs.shape[0] - 1}")
-        norms = np.linalg.norm(vecs, axis=1)
-        if vecs.shape[0] and np.max(np.abs(norms - 1.0)) > NORM_TOL:
+        if not (np.abs(np.linalg.norm(vecs, axis=1) - 1.0) <= NORM_TOL).all():  # NaN fails too
             raise ValueError("all vectors must be unit length")
 
     def to_json_dict(self) -> dict:
         return {
             "dimension": self.dimension,
-            "vectors": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.vectors
-            ],
+            "vectors": amplitudes_to_json(self.vectors),
             "bases": [list(b) for b in self.bases],
             "coloring": list(self.coloring),
         }
@@ -371,18 +354,23 @@ class KSInstance:
 
 def ks_instance_from_json_dict(data: dict) -> KSInstance:
     try:
-        d = data["dimension"]
+        d, rows = data["dimension"], data["vectors"]
         if type(d) is not int:
             raise ValueError(f"dimension must be an integer, got {d!r}")
-        vectors = np.array(
-            [[complex(re, im) for re, im in row] for row in data["vectors"]],
-            dtype=complex,
-        ).reshape(len(data["vectors"]), d)
-        bases = tuple(_json_ints(b, "a basis") for b in data["bases"])
-        coloring = _json_ints(data["coloring"], "the coloring")
+        if any(type(row) is not list or len(row) != d for row in rows):
+            raise ValueError(f"vectors must be lists of {d} amplitudes")
+        vectors = json_amplitudes([z for row in rows for z in row], "a vector entry")
+        vectors = vectors.reshape(len(rows), d)
+        bases = tuple(json_ints(b, "a basis") for b in data["bases"])
+        coloring = json_ints(data["coloring"], "the coloring")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed coloring instance: {exc}") from exc
     return KSInstance(d, vectors, bases, coloring)
+
+
+def _orthonormal(rows: np.ndarray, tol: float) -> bool:
+    """The rows are orthonormal within tol; a NaN entry fails."""
+    return bool((np.abs(rows @ rows.conj().T - np.eye(len(rows))) <= tol).all())
 
 
 def verify_ks_coloring(instance: KSInstance):
@@ -393,9 +381,7 @@ def verify_ks_coloring(instance: KSInstance):
     for basis in instance.bases:
         if len(basis) != d:
             raise ValueError(f"basis {basis} does not span: needs {d} vectors")
-        rows = instance.vectors[list(basis)]
-        gram = rows @ rows.conj().T
-        if np.max(np.abs(gram - np.eye(d))) > NORM_TOL:
+        if not _orthonormal(instance.vectors[list(basis)], NORM_TOL):
             raise ValueError(f"declared basis {basis} is not orthonormal")
         if sum(instance.coloring[i] for i in basis) != 1:
             violated.append(basis)
@@ -410,8 +396,7 @@ def discover_orthonormal_bases(vectors: np.ndarray, tol: float = NORM_TOL) -> li
         check_guard(comb(k, d), 1 << 20, "basis search combination count")
     found = []
     for subset in combinations(range(k), d):
-        rows = vecs[list(subset)]
-        if np.max(np.abs(rows @ rows.conj().T - np.eye(d))) <= tol:
+        if _orthonormal(vecs[list(subset)], tol):
             found.append(subset)
     return found
 

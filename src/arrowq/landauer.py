@@ -9,8 +9,8 @@ re-erases after every wrong guess, costing (D-1)*k*T*log(D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import factorial, lgamma, log
+from dataclasses import asdict, dataclass
+from math import factorial, inf, lgamma, log
 from typing import Optional
 
 from ._guards import check_guard
@@ -31,12 +31,11 @@ class EnergyParams:
     log_base: Optional[float] = None
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("Boltzmann constant must be positive")
-        if self.T <= 0:
-            raise ValueError("temperature must be positive")
-        if self.log_base is not None and (self.log_base <= 0 or self.log_base == 1):
-            raise ValueError("log base must be positive and not 1")
+        for name, value in (("Boltzmann constant", self.k), ("temperature", self.T)):
+            if not 0 < value < inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.log_base is not None and not (0 < self.log_base < inf and self.log_base != 1):
+            raise ValueError(f"log base must be positive, finite and not 1, got {self.log_base}")
 
     def log(self, x: float) -> float:
         return log(x) if self.log_base is None else log(x, self.log_base)
@@ -94,18 +93,7 @@ class VotingEnergyReport:
     formula_variant: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "strategy": self.strategy,
-            "k": self.k,
-            "T": self.T,
-            "log_base": self.log_base,
-            "E1": self.E1,
-            "E2": self.E2,
-            "E": self.E,
-            "formula_variant": self.formula_variant,
-        }
+        return asdict(self)
 
 
 def voting_energy(
@@ -159,12 +147,7 @@ class DivergenceScan:
     annotation: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "energies": list(self.energies),
-            "strictly_increasing": self.strictly_increasing,
-            "annotation": self.annotation,
-        }
+        return asdict(self)
 
 
 def divergence_scan(

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from ._guards import check_guard
+from ._guards import check_guard, json_ints
 from .orders import (
     MAX_ALTERNATIVES,
     LinearOrder,
@@ -167,14 +167,17 @@ class VotingRule:
             raise ValueError("need at least one voter and one alternative")
         if (self.tables is None) == (self.outcomes is None):
             raise ValueError("exactly one of tables/outcomes must be given")
+        if n > 1 and m >= 63:  # 2^m entries or more: no list is that long
+            raise ValueError(f"{m} voters need 2^{m} or more rule entries")
         if self.tables is not None:
-            pairs = alternative_pairs(n)
-            if len(self.tables) != len(pairs):
-                raise ValueError(f"expected {len(pairs)} pair tables")
+            pairs = n * (n - 1) // 2
+            if len(self.tables) != pairs:
+                raise ValueError(f"expected {pairs} pair tables")
             for t in self.tables:
                 if len(t) != 1 << m or any(bit not in (0, 1) for bit in t):
                     raise ValueError("each table needs 2^m bits")
         else:
+            check_guard(n, MAX_ALTERNATIVES, "alternative count")  # outcome_ranks' guard, before n!
             if len(self.outcomes) != factorial(n) ** m:
                 raise ValueError(f"expected {factorial(n) ** m} outcome entries")
             self.outcome_ranks  # ranks every entry, raising on a non-ranking
@@ -588,6 +591,11 @@ def verify_arrow(m: int, n: int) -> ArrowVerification:
 
 # ---- reversible circuit table ----
 
+def check_circuit_size(m: int, d: int) -> None:
+    """Size guard on the d^(m+1) register tuples of an ancilla and m voters."""
+    check_guard(d ** (m + 1), 4096, "circuit table size d^(m+1)")
+
+
 def classical_circuit_table(rule: VotingRule, d: Optional[int] = None) -> np.ndarray:
     """Permutation on flat indices of (ancilla, voter_1..voter_m) register
     tuples, each register holding a value in 0..d-1.
@@ -604,7 +612,7 @@ def classical_circuit_table(rule: VotingRule, d: Optional[int] = None) -> np.nda
         d = nballots
     if d < nballots:
         raise ValueError(f"register size {d} cannot hold {nballots} ballots")
-    check_guard(d ** (m + 1), 4096, "circuit table size d^(m+1)")
+    check_circuit_size(m, d)
     if not rule.is_total():
         raise ValueError("circuit table needs a total rule")
 
@@ -636,19 +644,9 @@ def rule_to_json_dict(rule: VotingRule) -> dict:
     }
 
 
-def _json_ints(value, what: str) -> tuple[int, ...]:
-    """A JSON list of integers as a tuple; anything else raises ValueError
-    rather than being truncated (1.9) or coerced ("1", true)."""
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise ValueError(f"{what} must be a list of integers, got {value!r}")
-    return tuple(value)
-
-
 def rule_from_json_dict(data: dict) -> VotingRule:
     try:
-        m, n = data["voters"], data["alternatives"]
-        kind = data["kind"]
-        entries = data["entries"]
+        m, n, kind, entries = (data[k] for k in ("voters", "alternatives", "kind", "entries"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed rule object: {exc}") from exc
     if type(m) is not int or type(n) is not int:
@@ -656,8 +654,8 @@ def rule_from_json_dict(data: dict) -> VotingRule:
     if not isinstance(entries, list):
         raise ValueError(f"rule entries must be a list, got {entries!r}")
     if kind == "pairwise":
-        return VotingRule(m, n, tables=tuple(_json_ints(t, "a pair table") for t in entries))
+        return VotingRule(m, n, tables=tuple(json_ints(t, "a pair table") for t in entries))
     if kind == "table":
-        outs = tuple(None if out is None else _json_ints(out, "an outcome") for out in entries)
+        outs = tuple(None if out is None else json_ints(out, "an outcome") for out in entries)
         return VotingRule(m, n, outcomes=outs)
     raise ValueError(f"unknown rule kind {kind!r}")

@@ -2,14 +2,17 @@
 pass/fail line so a plain pytest run doubles as a checklist."""
 
 import functools
+import io
 import json
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from math import cos, pi, sin, sqrt
 
 import numpy as np
 
+from arrowq import cli
 from arrowq.bell import (
     ch_value,
     chsh_value,
@@ -224,17 +227,33 @@ def test_criterion_8_cli_determinism(tmp_path):
     instance_path = tmp_path / "instance.json"
     instance_path.write_text(json.dumps(instance.to_json_dict()))
 
+    # defaults follow non-default values of the same flags, and two
+    # invocations repeat, so state one in-process call leaves would show
     invocations = [
-        ["verify-arrow", "--voters", "2", "--alternatives", "3", "--seed", "1"],
-        ["clone-test", "--seed", "1"],
-        ["bell", "--optimize", "--seed", "1"],
-        ["energy", "--seed", "1"],
-        ["ks-verify", "--instance", str(instance_path), "--seed", "1"],
+        ("verify-arrow", "--voters", "3", "--alternatives", "2", "--seed", "1"),
+        ("bell", "--inequality", "ch", "--optimize", "--seed", "1"),
+        ("verify-arrow",),
+        ("energy", "--variant", "literal", "--T", "10", "--seed", "1"),
+        ("bell",),
+        ("energy",),
+        ("clone-test", "--seed", "1"),
+        ("bell", "--optimize"),
+        ("ks-verify", "--instance", str(instance_path)),
+        ("verify-arrow", "--voters", "3", "--alternatives", "2", "--seed", "1"),
+        ("bell", "--inequality", "ch", "--optimize", "--seed", "1"),
     ]
+    # one fresh process per distinct invocation, all started at once; each
+    # report cli.main writes in this process must equal its byte for byte
+    fresh = {
+        argv: subprocess.Popen([sys.executable, "-m", "arrowq", *argv], stdout=subprocess.PIPE,
+                               stderr=subprocess.DEVNULL, text=True)
+        for argv in dict.fromkeys(invocations)
+    }
+    expected = {argv: (proc.communicate(timeout=120)[0], proc.returncode)
+                for argv, proc in fresh.items()}
     for argv in invocations:
-        cmd = [sys.executable, "-m", "arrowq"] + argv
-        first = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-        second = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-        assert first.stdout == second.stdout
-        assert first.returncode == second.returncode
-        assert first.returncode == 0
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(list(argv))
+        assert (out.getvalue(), code) == expected[argv]
+        assert code == 0

@@ -1,28 +1,36 @@
 import hashlib
+import io
 import json
 import subprocess
-import sys
+from contextlib import redirect_stderr, redirect_stdout
 from math import inf, nan, sqrt
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arrowq import cli, social_choice
 from arrowq._guards import GUARD_ENV
-from arrowq.hilbert import ks_instance_from_rule
+from arrowq.bell import chsh_value, default_scenario, scenario_from_json_dict
+from arrowq.hilbert import ks_instance_from_json_dict, ks_instance_from_rule, verify_ks_coloring
 from arrowq.social_choice import (
+    find_dictator,
     pairwise_majority_rule,
     projection_rule,
+    rule_from_json_dict,
     rule_to_json_dict,
 )
 
-BASE = [sys.executable, "-m", "arrowq"]
-
 
 def run_cli(*argv, check_stderr_timing=True):
-    proc = subprocess.run(
-        BASE + list(argv), capture_output=True, text=True, timeout=120
-    )
+    """cli.main in-process, as a CompletedProcess: stdout and stderr are
+    captured, and argparse's SystemExit gives the return code."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    proc = subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
     if check_stderr_timing and proc.returncode in (0, 1):
         assert "wall time:" in proc.stderr
     return proc
@@ -230,6 +238,25 @@ def test_clone_test_rejects_a_non_integer_size(tmp_path, capsys, key):
     assert err.startswith("error: voters and alternatives must be integers") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+def test_clone_test_tolerance_must_be_finite_and_nonnegative(tolerance):
+    proc = run_cli("clone-test", "--tolerance", tolerance)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: --tolerance") and proc.stderr.count("\n") == 1
+
+
+def test_clone_test_guards_the_circuit_before_building_the_rule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the default rule was built")
+
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    monkeypatch.setattr(cli, "projection_rule", refuse)
+    proc = run_cli("clone-test", "--voters", "30")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("size limit: circuit table size d^(m+1) = ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_clone_test_missing_file_exits_two(tmp_path):
     proc = run_cli("clone-test", "--rule", str(tmp_path / "nope.json"))
     assert proc.returncode == 2
@@ -350,6 +377,16 @@ def test_energy_zero_temperature_exits_two():
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "flags", [("--k", "inf"), ("--T", "inf"), ("--T", "nan"), ("--log-base", "nan")]
+)
+def test_energy_non_finite_parameter_exits_two(flags):
+    # inf gave exit 0 with "E": Infinity; nan exit 1 with NaN terms
+    proc = run_cli("energy", *flags)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 # ---- ks-verify ----
 
 def make_instance_file(tmp_path, coloring=None):
@@ -415,6 +452,26 @@ def test_ks_verify_rejects_non_integers(tmp_path, capsys, key, value, message):
     path.write_text(json.dumps(TWO_DIM_INSTANCE))
     assert run_main(capsys, "ks-verify", "--instance", str(path))[0] == 0
     path.write_text(json.dumps({**TWO_DIM_INSTANCE, key: value}))
+    assert run_main(capsys, "ks-verify", "--instance", str(path)) == (
+        2, "", f"error: malformed coloring instance: {message}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("true", "a vector entry must be an [re, im] pair of numbers, got [True, 0]"),
+        ("1" + "0" * 400,
+         "a vector entry must be finite, got an int too large to convert to float"),
+        ("NaN", "a vector entry must be finite, got nan"),
+        ("Infinity", "a vector entry must be finite, got inf"),
+    ],
+)
+def test_ks_verify_rejects_a_vector_entry_that_is_no_number(tmp_path, capsys, entry, message):
+    # true and NaN passed, the 400-digit integer gave a traceback
+    text = json.dumps(TWO_DIM_INSTANCE).replace("[[1, 0], [0, 0]]", f"[[{entry}, 0], [0, 0]]", 1)
+    path = tmp_path / "instance.json"
+    path.write_text(text)
     assert run_main(capsys, "ks-verify", "--instance", str(path)) == (
         2, "", f"error: malformed coloring instance: {message}\n"
     )
@@ -498,28 +555,99 @@ def test_parser_is_built_once(capsys):
     assert (info.misses, info.hits) == (1, 3)
 
 
-# defaults follow non-default values of the same flags, so state the
-# parser kept from one call would show in the next report
-INTERLEAVED = [
-    ("verify-arrow", "--voters", "3", "--alternatives", "2"),
-    ("bell", "--inequality", "ch", "--optimize"),
-    ("verify-arrow",),
-    ("energy", "--variant", "literal", "--T", "10"),
-    ("bell",),
-    ("energy",),
-    ("verify-arrow", "--voters", "3", "--alternatives", "2"),
-    ("bell", "--inequality", "ch", "--optimize"),
-]
+# ---- mutated input documents ----
+
+def _clone_verdict(doc, report):
+    return report["config"]["voter"] == find_dictator(rule_from_json_dict(doc))
 
 
-def test_in_process_calls_match_fresh_processes(capsys):
-    fresh = {
-        argv: subprocess.Popen(BASE + list(argv), stdout=subprocess.PIPE,
-                               stderr=subprocess.DEVNULL, text=True)
-        for argv in dict.fromkeys(INTERLEAVED)
-    }
-    expected = {argv: (proc.communicate(timeout=120)[0], proc.returncode)
-                for argv, proc in fresh.items()}
-    for argv in INTERLEAVED:
-        code, out, _ = run_main(capsys, *argv)
-        assert (out, code) == expected[argv]
+def _bell_verdict(doc, report):
+    scenario = scenario_from_json_dict(doc)
+    axes = (*scenario.alice_axes[:2], *scenario.bob_axes[:2])
+    return report["results"]["value"] == chsh_value(scenario.state, *axes).value
+
+
+def _ks_verdict(doc, report):
+    return report["results"]["valid"] == verify_ks_coloring(ks_instance_from_json_dict(doc))[0]
+
+
+# name: (subcommand and file flag, valid document, its reader, the API's verdict on a report)
+DOCUMENTS = {
+    "pairwise rule": (("clone-test", "--rule"), rule_to_json_dict(projection_rule(2, 3, 1)),
+                      rule_from_json_dict, _clone_verdict),
+    "table rule": (("clone-test", "--rule"), rule_to_json_dict(projection_rule(1, 3, 0).as_table()),
+                   rule_from_json_dict, _clone_verdict),
+    "scenario": (("bell", "--scenario"), default_scenario().to_json_dict(),
+                 scenario_from_json_dict, _bell_verdict),
+    "instance": (("ks-verify", "--instance"), TWO_DIM_INSTANCE,
+                 ks_instance_from_json_dict, _ks_verdict),
+}
+# Every one is malformed wherever it lands: JSON-number leaves are unit-norm
+# entries or integers, and 1.5 breaks either.
+BAD_LEAVES = (True, False, "1", None, nan, inf, -inf, 1.5, 10 ** 400)
+
+
+def _positions(doc, path=()):
+    """(path, value) for every position in a document, the root first."""
+    yield path, doc
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _positions(value, path + (key,))
+
+
+def _replaced(doc, path, change):
+    """A copy of doc with change applied to the value at path."""
+    if not path:
+        return change(doc)
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[path[0]] = _replaced(doc[path[0]], path[1:], change)
+    return copy
+
+
+@st.composite
+def mutated_documents(draw):
+    """(name, document, malformed): a leaf swapped for a bad value, a
+    top-level key dropped, or some value wrapped in a list."""
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    doc = DOCUMENTS[name][1]
+    how = draw(st.sampled_from(("swap", "drop", "wrap")))
+    if how == "drop":
+        key = draw(st.sampled_from(sorted(doc)))
+        # a scenario's keys are optional: the default axes or state stand in
+        return name, {k: v for k, v in doc.items() if k != key}, name != "scenario"
+    positions = list(_positions(doc))
+    if how == "wrap":
+        path = draw(st.sampled_from([p for p, _ in positions]))
+        return name, _replaced(doc, path, lambda v: [v]), True
+    path = draw(st.sampled_from([p for p, v in positions if not isinstance(v, (dict, list))]))
+    bad = draw(st.sampled_from(BAD_LEAVES))
+    # a huge declared size has its own test, with values that cannot make
+    # a build without the early size checks allocate gigabytes
+    if path in (("voters",), ("alternatives",)) and bad == 10 ** 400:
+        bad = 1.5
+    return name, _replaced(doc, path, lambda v: bad), True
+
+
+@pytest.fixture(scope="module")
+def document_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents") / "doc.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_exit_two_or_get_the_api_verdict(document_path, case):
+    name, doc, malformed = case
+    (subcommand, flag), _, reader, verdict = DOCUMENTS[name]
+    document_path.write_text(json.dumps(doc))
+    proc = run_cli(subcommand, flag, str(document_path))
+    if malformed:
+        assert proc.returncode == 2
+        with pytest.raises(ValueError):
+            reader(doc)
+    if proc.returncode == 2:
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(("error: ", "size limit: "))
+    else:
+        report = report_of(proc)
+        assert report["pass"] is (proc.returncode == 0)
+        assert verdict(doc, report)

@@ -267,6 +267,19 @@ def test_coloring_rejects_non_bit_colors():
         KSInstance(2, np.eye(2), ((0, 1),), (1, 0.4))
 
 
+def test_instance_rejects_a_nan_vector():
+    # NaN fails no "> tol" test, so a NaN vector once passed as unit length
+    vecs = np.eye(2, dtype=complex)
+    vecs[0, 0] = np.nan
+    with pytest.raises(ValueError, match="unit length"):
+        KSInstance(2, vecs, ((0, 1),), (1, 0))
+
+
+def test_basis_search_skips_a_nan_row():
+    vecs = np.vstack([np.eye(2), [[np.nan, 0.0]]]).astype(complex)
+    assert discover_orthonormal_bases(vecs) == [(0, 1)]
+
+
 def test_coloring_rejects_non_orthonormal_basis():
     vecs = np.array([[1.0, 0.0], [2 ** -0.5, 2 ** -0.5]], dtype=complex)
     with pytest.raises(ValueError):

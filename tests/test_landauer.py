@@ -1,4 +1,4 @@
-from math import factorial, lgamma, log
+from math import factorial, inf, lgamma, log, nan
 
 import pytest
 
@@ -142,6 +142,23 @@ def test_error_paths():
         voting_energy(params, 0, 3, "with-memory")
     with pytest.raises(ValueError):
         voting_energy(params, 3, 3, "with-memory", variant="folklore")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"k": inf}, "Boltzmann constant"),
+        ({"k": nan}, "Boltzmann constant"),
+        ({"T": inf}, "temperature"),
+        ({"T": nan}, "temperature"),
+        ({"log_base": nan}, "log base"),
+        ({"log_base": inf}, "log base"),
+    ],
+)
+def test_energy_params_must_be_finite(kwargs, message):
+    # inf gave E = inf with a passing ledger, NaN nine NaN terms
+    with pytest.raises(ValueError, match=message):
+        EnergyParams(**{"k": 1.0, "T": 1.0, **kwargs})
 
 
 def test_size_guard_on_voting_energy(monkeypatch):

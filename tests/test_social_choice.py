@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -525,6 +526,50 @@ def test_table_rule_rejects_a_non_ranking_entry(bad):
         VotingRule(2, 3, outcomes=tuple(tuple(o) for o in outcomes))
     data = {"voters": 2, "alternatives": 3, "kind": "table", "entries": outcomes}
     with pytest.raises(ValueError, match=message):
+        rule_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "kind, entries, voters",
+    [
+        ("pairwise", [[0, 1]], 63),
+        ("pairwise", [[0, 1]], 10 ** 7),
+        ("pairwise", [[0, 1]], 10 ** 400),
+        ("table", [[0, 1], [1, 0]], 100),
+        ("table", [[0, 1], [1, 0]], 10 ** 7),
+    ],
+)
+def test_rule_with_a_huge_declared_voter_count_is_refused_cheaply(kind, entries, voters):
+    # 2^m or (n!)^m entries cannot be listed once m reaches 63; the check must
+    # not build 1 << m (1.25 MB at m = 10^7) or (n!)^m on the way
+    data = {"voters": voters, "alternatives": 2, "kind": kind, "entries": entries}
+    tracemalloc.start()
+    try:
+        message = rf"^{voters} voters need 2\^{voters} or more rule entries$"
+        with pytest.raises(ValueError, match=message):
+            rule_from_json_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_rule_alternative_count_is_checked_before_pairs_or_n_factorial(monkeypatch):
+    # the pair count is C(n, 2) without listing the pairs (44,850 tuples here)
+    data = {"voters": 1, "alternatives": 300, "kind": "pairwise", "entries": [[0, 1]]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^expected 44850 pair tables$"):
+            rule_from_json_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # a table rule ranks its entries under the alternative guard; it now
+    # applies before the size check computes n!
+    monkeypatch.delenv("ARROWQ_GUARD_OVERRIDE", raising=False)
+    data = {"voters": 1, "alternatives": 9, "kind": "table", "entries": [[0, 1]]}
+    with pytest.raises(SizeLimitError, match="^alternative count = 9 exceeds"):
         rule_from_json_dict(data)
 
 
