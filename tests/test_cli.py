@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from math import inf, nan, sqrt
 
@@ -553,6 +554,33 @@ def test_parser_is_built_once(capsys):
         assert run_main(capsys, *argv)[0] == 0
     info = cli.build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 3)
+
+
+# defaults follow non-default values of the same flags, so state the
+# parser kept from one call would show in the next report
+INTERLEAVED = [
+    ("verify-arrow", "--voters", "3", "--alternatives", "2"),
+    ("bell", "--inequality", "ch", "--optimize"),
+    ("verify-arrow",),
+    ("energy", "--variant", "literal", "--T", "10"),
+    ("bell",),
+    ("energy",),
+    ("verify-arrow", "--voters", "3", "--alternatives", "2"),
+    ("bell", "--inequality", "ch", "--optimize"),
+]
+
+
+def test_in_process_calls_match_fresh_processes(capsys):
+    fresh = {
+        argv: subprocess.Popen([sys.executable, "-m", "arrowq", *argv], stdout=subprocess.PIPE,
+                               stderr=subprocess.DEVNULL, text=True)
+        for argv in dict.fromkeys(INTERLEAVED)
+    }
+    expected = {argv: (proc.communicate(timeout=120)[0], proc.returncode)
+                for argv, proc in fresh.items()}
+    for argv in INTERLEAVED:
+        code, out, _ = run_main(capsys, *argv)
+        assert (out, code) == expected[argv]
 
 
 # ---- mutated input documents ----
