@@ -38,10 +38,22 @@ def guard_multiplier() -> int:
 def check_guard(value: int, base_limit: int, what: str) -> None:
     limit = base_limit * guard_multiplier()
     if value > limit:
-        raise SizeLimitError(
-            f"{what} = {value} exceeds the size guard {limit}"
-            f" (set {GUARD_ENV} to raise it)"
-        )
+        raise SizeLimitError(_exceeds(what, value, limit))
+
+
+def check_power_guard(base: int, exponent: int, base_limit: int, what: str) -> None:
+    """check_guard(base ** exponent, base_limit, what), without building a
+    power past the limit: once the exponent exceeds the limit's bit length,
+    base ** exponent >= 2 ** exponent > limit, and the message names the
+    power instead of printing it."""
+    limit = base_limit * guard_multiplier()
+    if base > 1 and exponent > limit.bit_length():
+        raise SizeLimitError(_exceeds(what, f"{base}^{exponent}", limit))
+    check_guard(base ** exponent, base_limit, what)
+
+
+def _exceeds(what: str, value, limit: int) -> str:
+    return f"{what} = {value} exceeds the size guard {limit} (set {GUARD_ENV} to raise it)"
 
 
 # ---- JSON values ----

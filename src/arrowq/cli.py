@@ -19,7 +19,7 @@ from math import cos, factorial, inf, pi, sin, sqrt
 
 import numpy as np
 
-from ._guards import SizeLimitError, guard_multiplier
+from ._guards import SizeLimitError, check_guard, guard_multiplier
 from .bell import (
     ch_value,
     chsh_value,
@@ -38,6 +38,7 @@ from .hilbert import (
     verify_ks_coloring,
 )
 from .landauer import EnergyParams, voting_energy
+from .orders import MAX_ALTERNATIVES
 from .social_choice import (
     check_circuit_size,
     find_dictator,
@@ -53,7 +54,8 @@ _JSON_SCALARS = frozenset((int, float, bool, type(None)))
 
 def _encode(value, indent: str = "") -> str:
     """json.dumps(value, sort_keys=True, indent=2), byte for byte, for
-    dicts with str keys, lists, tuples and JSON scalars.
+    dicts with str keys, lists, tuples, JSON scalars, and integer arrays
+    whose entries are digits 0-9 (written as their .tolist()).
 
     With indent, json.dumps runs CPython's pure-Python encoder; here every
     list of ints, floats, bools and None is one call of the C encoder, whose
@@ -61,6 +63,8 @@ def _encode(value, indent: str = "") -> str:
     NaN or Infinity contains ", ", and strings never take that path.  Other
     scalars (subclasses such as numpy floats) go through json.dumps one by
     one, which gives the same bytes."""
+    if isinstance(value, np.ndarray):
+        return _encode_digits(value, indent)
     inner = indent + "  "
     if isinstance(value, dict):
         brackets = "{}"
@@ -76,6 +80,34 @@ def _encode(value, indent: str = "") -> str:
     if not value:
         return brackets
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _encode_digits(array: np.ndarray, indent: str) -> str:
+    """_encode(array.tolist(), indent) for an integer array of one or more
+    dimensions whose entries are digits 0-9, such as a fair-rule bit table.
+
+    A single digit prints as one byte, so every row's text has the layout
+    of an all-zero row and differs from it only in the zeros' bytes.  That
+    row, encoded once behind its separator, is tiled into one byte buffer,
+    the digits are written over its zeros, and the buffer is decoded once.
+    The opening "[\\n" + indent has the separator's layout, so the first
+    separator's comma becomes the bracket."""
+    if array.dtype.kind not in "iu" or array.ndim < 1 or (
+            array.size and not 0 <= array.min() <= array.max() <= 9):
+        raise ValueError(f"cannot write a {array.dtype} array of shape {array.shape}:"
+                         " the writer takes integer arrays of digits 0-9")
+    if not len(array):
+        return "[]"
+    inner = indent + "  "
+    row = f",\n{inner}" + _encode(np.zeros(array.shape[1:], dtype=int).tolist(), inner)
+    template = np.frombuffer(row.encode(), dtype=np.uint8)
+    tail = np.frombuffer(f"\n{indent}]".encode(), dtype=np.uint8)
+    text = np.empty(len(array) * len(template) + len(tail), dtype=np.uint8)
+    rows = text[:-len(tail)].reshape(len(array), len(template))
+    rows[:] = template
+    rows[:, template == ord("0")] = array.reshape(len(array), -1) + ord("0")
+    text[0], text[-len(tail):] = ord("["), tail
+    return str(text, "ascii")
 
 
 def _emit(report: dict, output: str):
@@ -98,7 +130,7 @@ def _run_verify_arrow(args):
     config = {"voters": args.voters, "alternatives": args.alternatives}
     verification = verify_arrow(args.voters, args.alternatives)
     results = verification.to_json_dict()
-    results["rules"] = verification.rules.tables.tolist()
+    results["rules"] = verification.rules.tables
     results["stats"] = verification.stats()
     if args.alternatives > 2:
         passed = verification.all_dictatorial
@@ -116,6 +148,7 @@ def _run_clone_test(args):
     if args.rule is not None:
         rule = rule_from_json_dict(_load_json(args.rule))
     else:
+        check_guard(args.alternatives, MAX_ALTERNATIVES, "alternative count")  # before n!
         check_circuit_size(args.voters, factorial(args.alternatives))  # before 2^m-bit tables
         rule = projection_rule(args.voters, args.alternatives, 0)
     m, n = rule.voters, rule.alternatives

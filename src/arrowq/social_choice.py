@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from ._guards import check_guard, json_ints
+from ._guards import check_guard, check_power_guard, json_ints
 from .orders import (
     MAX_ALTERNATIVES,
     LinearOrder,
@@ -108,7 +108,7 @@ class ProfileDomain:
     def __init__(self, m: int, n: int):
         self.orders = enumerate_orders(n)
         nb = len(self.orders)
-        check_guard(nb ** m, MAX_PROFILES, "profile count (n!)^m")
+        check_power_guard(nb, m, MAX_PROFILES, "profile count (n!)^m")
         position = np.argsort(self.orders, axis=1)
         a, b = np.array(alternative_pairs(n), dtype=np.int64).reshape(-1, 2).T
         self.ballot_bits = position[:, a] < position[:, b]
@@ -498,7 +498,7 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     if m < 1 or n < 1:
         raise ValueError("need at least one voter and one alternative")
     check_guard(n, MAX_ALTERNATIVES, "alternative count for rule enumeration")
-    check_guard(1 << m, 16, "profile bit-vector size 2^m")
+    check_power_guard(2, m, 16, "profile bit-vector size 2^m")
     size, npairs = 1 << m, len(alternative_pairs(n))
     nogoods = _cyclic_nogoods(m, n)
     literals = nogoods.T.copy()  # [3, C]: a sweep sums three contiguous rows
@@ -593,7 +593,7 @@ def verify_arrow(m: int, n: int) -> ArrowVerification:
 
 def check_circuit_size(m: int, d: int) -> None:
     """Size guard on the d^(m+1) register tuples of an ancilla and m voters."""
-    check_guard(d ** (m + 1), 4096, "circuit table size d^(m+1)")
+    check_power_guard(d, m + 1, 4096, "circuit table size d^(m+1)")
 
 
 def classical_circuit_table(rule: VotingRule, d: Optional[int] = None) -> np.ndarray:

@@ -220,3 +220,14 @@ def kron_ch(psi, a1, a2, b1, b2):
         - kron_expectation(psi, plus_projector(a1), IDENTITY)
         - kron_expectation(psi, IDENTITY, plus_projector(b1))
     )
+
+
+# sha256 of the stdout of `arrowq verify-arrow --voters m --alternatives n`
+# with the default seed and no guard override, frozen from reports whose
+# rules were nested lists; each equals json.dumps(report, sort_keys=True,
+# indent=2) + "\n" of its own parse.  (4, 2) lists 16,384 rules.
+VERIFY_ARROW_REPORT_SHA256 = {
+    (3, 2): "66bab88d983a386bec75f1b7ac2dc779f86e527bb7f55c75bcf8a596ddad4b37",
+    (4, 2): "a8627c997fc4ff446c33afa87dde4696963a08276cea2e67f429237a8164f459",
+    (4, 8): "ee4b5976aa23221672476393cf7ef595ac051536310b18d3110ad0102422e863",
+}

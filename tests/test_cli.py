@@ -3,11 +3,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from math import inf, nan, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from arrowq import cli, social_choice
 from arrowq._guards import GUARD_ENV
@@ -20,6 +23,8 @@ from arrowq.social_choice import (
     rule_from_json_dict,
     rule_to_json_dict,
 )
+
+import oracles
 
 
 def run_cli(*argv, check_stderr_timing=True):
@@ -119,9 +124,15 @@ def test_verify_arrow_builds_no_voting_rule(monkeypatch, capsys):
     assert code == 0
     assert len(json.loads(out)["results"]["rules"]) == 16384
     assert out == stdlib_layout(out)
-    # frozen: digest of the report json.dumps wrote from per-rule VotingRule objects
-    digest = "a8627c997fc4ff446c33afa87dde4696963a08276cea2e67f429237a8164f459"
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert hashlib.sha256(out.encode()).hexdigest() == oracles.VERIFY_ARROW_REPORT_SHA256[4, 2]
+
+
+@pytest.mark.parametrize("m, n", sorted(oracles.VERIFY_ARROW_REPORT_SHA256))
+def test_verify_arrow_reports_match_their_frozen_digests(monkeypatch, capsys, m, n):
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    code, out, _ = run_main(capsys, "verify-arrow", "--voters", str(m), "--alternatives", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == oracles.VERIFY_ARROW_REPORT_SHA256[m, n]
 
 
 def test_verify_arrow_reports_search_stats():
@@ -256,6 +267,26 @@ def test_clone_test_guards_the_circuit_before_building_the_rule(monkeypatch):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("size limit: circuit table size d^(m+1) = ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-arrow", "--voters", "1000000"),
+        ("clone-test", "--voters", "1000000"),
+        ("clone-test", "--alternatives", "1000000"),
+    ],
+)
+def test_huge_size_flags_are_refused_before_the_power_is_built(monkeypatch, argv):
+    # 6^(m+1) or 1000000! alone takes 0.18 s or more to build, and a size
+    # past 4300 digits cannot be printed in the message
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    started = time.perf_counter()
+    proc = run_cli(*argv)
+    elapsed = time.perf_counter() - started
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("size limit: ") and proc.stderr.count("\n") == 1
+    assert elapsed < 0.1
 
 
 def test_clone_test_missing_file_exits_two(tmp_path):
@@ -532,6 +563,35 @@ json_values = st.recursive(
 @example({", ": [", "], "": {"\"": "é, 雪"}})
 def test_report_writer_matches_json_dumps(value):
     assert cli._encode(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+digit_arrays = hnp.arrays(np.int8, hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4),
+                          elements=st.integers(0, 9))
+
+
+@given(digit_arrays, st.integers(0, 3), json_text)
+@example(np.zeros((1, 0, 4), dtype=np.int8), 2, "rules")  # the (2,1) table
+@example(np.arange(10, dtype=np.int8).reshape(5, 1, 2), 3, "")
+def test_report_writer_writes_digit_arrays_as_their_lists(array, depth, key):
+    value, listed = array, array.tolist()
+    for _ in range(depth):
+        value, listed = {key: value, "~": [value]}, {key: listed, "~": [listed]}
+    assert cli._encode(value) == json.dumps(listed, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([[0, 1], [-1, 0]], dtype=np.int8),
+        np.array([[0, 1], [10, 0]], dtype=np.int8),
+        np.array([[0.0, 1.0]]),
+        np.array([[True, False]]),
+        np.array(3, dtype=np.int8),
+    ],
+)
+def test_report_writer_refuses_arrays_it_cannot_write(array):
+    with pytest.raises(ValueError):
+        cli._encode({"rules": array})
 
 
 def test_every_subcommand_report_has_the_stdlib_layout(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arrowq import SizeLimitError, social_choice
+from arrowq._guards import GUARD_ENV, check_power_guard, guard_multiplier
 from arrowq.orders import alternative_pairs, enumerate_orders, order_rank, reverse_order
 from arrowq.social_choice import (
     IntransitiveOutcomeError,
@@ -329,6 +330,20 @@ def test_enumeration_guard():
         enumerate_fair_rules(2, 9)
     with pytest.raises(SizeLimitError):
         enumerate_fair_rules(5, 3)
+
+
+@pytest.mark.parametrize("override", [None, "1", "3", "1000"])
+def test_power_guard_admits_what_the_built_power_admits(monkeypatch, override):
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    if override is not None:
+        monkeypatch.setenv(GUARD_ENV, override)
+    limit = 16 * guard_multiplier()
+    for base, exponent in product(range(1, 9), range(-2, 41)):
+        if base ** exponent > limit:
+            with pytest.raises(SizeLimitError, match="^size = "):
+                check_power_guard(base, exponent, 16, "size")
+        else:
+            check_power_guard(base, exponent, 16, "size")
 
 
 def test_search_never_builds_a_profile_domain(monkeypatch):
