@@ -60,7 +60,7 @@ def _exceeds(what: str, value, limit: int) -> str:
 
 def json_ints(value, what: str) -> tuple[int, ...]:
     """A JSON list of integers as a tuple."""
-    if type(value) is not list or any(type(x) is not int for x in value):
+    if type(value) is not list or not {int}.issuperset(map(type, value)):
         raise ValueError(f"{what} must be a list of integers, got {value!r}")
     return tuple(value)
 

@@ -334,10 +334,8 @@ def arrow_scenario_table(
     w_bob = np.bincount(kb, w, 3)
     plus_bob = np.bincount(kb, w * (sb > 0), 3)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        E = np.where(w_joint > 0, prod_sum / np.where(w_joint > 0, w_joint, 1.0), np.nan)
-        pa = np.where(w_alice > 0, plus_alice / np.where(w_alice > 0, w_alice, 1.0), np.nan)
-        pb = np.where(w_bob > 0, plus_bob / np.where(w_bob > 0, w_bob, 1.0), np.nan)
+    with np.errstate(invalid="ignore"):  # an empty cell reads 0/0 = NaN
+        E, pa, pb = prod_sum / w_joint, plus_alice / w_alice, plus_bob / w_bob
     return CorrelationTable(E, pa, pb, w_joint)
 
 

@@ -41,7 +41,6 @@ from .landauer import EnergyParams, voting_energy
 from .orders import MAX_ALTERNATIVES
 from .social_choice import (
     check_circuit_size,
-    find_dictator,
     projection_rule,
     rule_from_json_dict,
     verify_arrow,
@@ -158,7 +157,7 @@ def _run_clone_test(args):
     circuit = lift_rule_to_unitary(space, rule)
     voter = args.voter
     if voter is None:
-        voter = find_dictator(rule)
+        voter = min(circuit.copied_voters, default=None)
         if voter is None:
             raise ValueError("rule has no dictator; pick --voter for a dictatorial rule")
 
@@ -178,9 +177,7 @@ def _run_clone_test(args):
         psi = PureState(amps, space.d)
         fidelities.append(cloning_fidelity(circuit, voter, psi))
         predicted.append((cos(theta) ** 3 + sin(theta) ** 3) ** 2)
-    formula_error = max(
-        abs(f - p) for f, p in zip(fidelities, predicted)
-    ) if thetas else 0.0
+    formula_error = max((abs(f - p) for f, p in zip(fidelities, predicted)), default=0.0)
 
     basis_fid = [
         cloning_fidelity(circuit, voter, basis_state(space.d, i))
@@ -212,7 +209,6 @@ def _run_bell(args):
     config = {
         "inequality": name,
         "optimize": bool(args.optimize),
-        "seed": args.seed,
         "scenario_file": args.scenario,
     }
 

@@ -298,7 +298,7 @@ def no_cloning_scan(
     nonbasis_ok = True
     for psi, theta in zip(samples, thetas):
         f = cloning_fidelity(circuit, voter, psi)
-        if np.max(np.abs(psi.amplitudes)) >= 1.0 - BASIS_TOL:
+        if psi.basis_index(BASIS_TOL) is not None:
             basis_like += 1
         elif f >= threshold:
             nonbasis_ok = False

@@ -9,6 +9,7 @@ for basis vectors.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import permutations
 from typing import Sequence
 
@@ -20,10 +21,14 @@ MAX_ALTERNATIVES = 8
 
 
 def validate_order(order: Sequence[int], alternatives: int | None = None) -> LinearOrder:
-    """Return the order as a tuple, or raise if it is not a permutation of 0..n-1."""
-    ranking = tuple(int(a) for a in order)
+    """The order as a tuple of ints; raises unless its integer entries permute 0..n-1."""
+    ranking = tuple(order)
     n = len(ranking) if alternatives is None else alternatives
-    if len(ranking) != n or sorted(ranking) != list(range(n)):
+    try:
+        ranking = tuple(map(operator.index, ranking))
+    except TypeError:  # a float, a string or another non-integer entry
+        ranking = None
+    if ranking is None or sorted(ranking) != list(range(n)):
         raise ValueError(f"{order!r} is not a ranking of alternatives 0..{n - 1}")
     return ranking
 

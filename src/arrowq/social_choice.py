@@ -76,24 +76,19 @@ def order_from_pair_bits(bits: Sequence[int], n: int) -> LinearOrder:
     """Ranking encoded by pairwise bits (bit k = 1 iff a beats b for the
     k-th pair (a, b), a < b, lexicographic).
 
-    A tournament is a linear order exactly when out-degrees are all
-    distinct; we sort by wins and verify every pair against the input,
-    raising IntransitiveOutcomeError on any cycle.
+    A tournament is a linear order exactly when its win counts are
+    distinct, that is, exactly 0..n-1 (Landau, 1953); the ranking sorts
+    the alternatives by wins, and IntransitiveOutcomeError marks a cycle.
     """
     pairs = alternative_pairs(n)
     if len(bits) != len(pairs):
         raise ValueError(f"expected {len(pairs)} pair bits, got {len(bits)}")
     wins = [0] * n
-    for k, (a, b) in enumerate(pairs):
-        if bits[k]:
-            wins[a] += 1
-        else:
-            wins[b] += 1
-    ranking = tuple(sorted(range(n), key=lambda x: -wins[x]))
-    for k, (a, b) in enumerate(pairs):
-        if prefers(ranking, a, b) != bool(bits[k]):
-            raise IntransitiveOutcomeError(f"pair bits {tuple(bits)} contain a cycle")
-    return ranking
+    for bit, (a, b) in zip(bits, pairs):
+        wins[a if bit else b] += 1
+    if sorted(wins) != list(range(n)):
+        raise IntransitiveOutcomeError(f"pair bits {tuple(bits)} contain a cycle")
+    return tuple(sorted(range(n), key=lambda x: -wins[x]))
 
 
 class ProfileDomain:
@@ -145,6 +140,13 @@ profile_domain = lru_cache(maxsize=8)(ProfileDomain)
 
 # ---- voting rules ----
 
+def _check_rule_size(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError("need at least one voter and one alternative")
+    if n > 1 and m >= 63:  # 2^m entries or more: no list is that long
+        raise ValueError(f"{m} voters need 2^{m} or more rule entries")
+
+
 @dataclass(frozen=True)
 class VotingRule:
     """Map from profiles to rankings, in table or pairwise form.
@@ -163,12 +165,9 @@ class VotingRule:
 
     def __post_init__(self):
         m, n = self.voters, self.alternatives
-        if m < 1 or n < 1:
-            raise ValueError("need at least one voter and one alternative")
+        _check_rule_size(m, n)
         if (self.tables is None) == (self.outcomes is None):
             raise ValueError("exactly one of tables/outcomes must be given")
-        if n > 1 and m >= 63:  # 2^m entries or more: no list is that long
-            raise ValueError(f"{m} voters need 2^{m} or more rule entries")
         if self.tables is not None:
             pairs = n * (n - 1) // 2
             if len(self.tables) != pairs:
@@ -244,7 +243,8 @@ def projection_rule(m: int, n: int, voter: int) -> VotingRule:
     """Outcome = the chosen voter's ballot, in pairwise form."""
     if not 0 <= voter < m:
         raise ValueError(f"voter {voter} out of range for {m} voters")
-    table = tuple((v >> voter) & 1 for v in range(1 << m))
+    _check_rule_size(m, n)  # before building 2^m entries; one alternative needs none
+    table = tuple((v >> voter) & 1 for v in range(1 << m)) if n > 1 else ()
     return VotingRule(m, n, tables=(table,) * len(alternative_pairs(n)))
 
 
@@ -279,7 +279,8 @@ def pairwise_majority_rule(m: int, n: int) -> VotingRule:
     For n > 2 the outcome can cycle on some profiles, in which case
     outcome() raises IntransitiveOutcomeError.
     """
-    table = tuple(1 if bin(v).count("1") * 2 > m else 0 for v in range(1 << m))
+    _check_rule_size(m, n)  # before building 2^m entries; one alternative needs none
+    table = tuple(int(bin(v).count("1") * 2 > m) for v in range(1 << m)) if n > 1 else ()
     return VotingRule(m, n, tables=(table,) * len(alternative_pairs(n)))
 
 
@@ -398,8 +399,8 @@ def arrow_report(rule: VotingRule) -> ArrowReport:
     pareto, pw = check_pareto(rule)
     iia, iw = check_iia(rule)
     ud = check_ud(rule)
-    dictator = find_dictator(rule)
-    per_voter = tuple(bool(hit) for hit in _copying_voters(rule))
+    per_voter = tuple(_copying_voters(rule).tolist())
+    dictator = per_voter.index(True) if True in per_voter else None
     return ArrowReport(pareto, pw, iia, iw, ud, dictator, per_voter)
 
 
@@ -633,9 +634,9 @@ def classical_circuit_table(rule: VotingRule, d: Optional[int] = None) -> np.nda
 def rule_to_json_dict(rule: VotingRule) -> dict:
     """{"voters", "alternatives", "kind", "entries"} with rankings as arrays."""
     if rule.tables is not None:
-        entries = [list(t) for t in rule.tables]
+        entries = [list(map(int, t)) for t in rule.tables]
     else:
-        entries = [None if out is None else list(out) for out in rule.outcomes]
+        entries = [None if out is None else list(map(int, out)) for out in rule.outcomes]
     return {
         "voters": rule.voters,
         "alternatives": rule.alternatives,

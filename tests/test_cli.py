@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from math import inf, nan, sqrt
 
@@ -17,6 +18,7 @@ from arrowq._guards import GUARD_ENV
 from arrowq.bell import chsh_value, default_scenario, scenario_from_json_dict
 from arrowq.hilbert import ks_instance_from_json_dict, ks_instance_from_rule, verify_ks_coloring
 from arrowq.social_choice import (
+    borda_rule,
     find_dictator,
     pairwise_majority_rule,
     projection_rule,
@@ -208,6 +210,39 @@ def test_clone_test_rejects_non_dictatorial_rule(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_clone_test_rejects_a_total_rule_without_a_dictator(tmp_path, capsys):
+    path = tmp_path / "borda.json"
+    path.write_text(json.dumps(rule_to_json_dict(borda_rule(2, 3))))
+    assert run_main(capsys, "clone-test", "--rule", str(path)) == (
+        2, "", "error: rule has no dictator; pick --voter for a dictatorial rule\n")
+
+
+def test_clone_test_takes_its_register_from_the_circuit(tmp_path, monkeypatch, capsys):
+    def refuse(rule):
+        raise AssertionError("the rule was scanned for copying voters")
+
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(rule_to_json_dict(projection_rule(2, 3, 1))))
+    calls = [("clone-test",), ("clone-test", "--rule", str(path))]
+    expected = [run_main(capsys, *argv)[:2] for argv in calls]
+    monkeypatch.setattr(social_choice, "_copying_voters", refuse)
+    assert [run_main(capsys, *argv)[:2] for argv in calls] == expected
+    assert [json.loads(out)["config"]["voter"] for _, out in expected] == [0, 1]
+
+
+def test_clone_test_refuses_one_ballot_without_building_a_table(capsys):
+    # 2^40 table entries could not be listed; the default rule at one
+    # alternative has no pair table, so the one-ballot refusal comes first
+    tracemalloc.start()
+    try:
+        result = run_main(capsys, "clone-test", "--alternatives", "1", "--voters", "40")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", "error: cloning superpositions need at least two ballots\n")
+    assert peak < 1 << 20
+
+
 def test_clone_test_rejects_a_non_ranking_entry(tmp_path):
     data = rule_to_json_dict(projection_rule(2, 3, 0).as_table())
     data["entries"][7] = [0, 0, 1]
@@ -378,6 +413,15 @@ def test_bell_scenario_needs_an_object_of_numbers(tmp_path, capsys, doc, message
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
+def test_bell_scenario_needs_two_axes_per_party(tmp_path, capsys):
+    doc = default_scenario().to_json_dict()
+    doc["alice_axes"], doc["bob_axes"] = doc["alice_axes"][:1], doc["bob_axes"][:1]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert run_main(capsys, "bell", "--scenario", str(path)) == (
+        2, "", "error: need two axes per party\n")
+
+
 def test_bell_budget_flag_is_gone():
     proc = run_cli("bell", "--optimize", "--budget", "10", check_stderr_timing=False)
     assert proc.returncode == 2
@@ -394,6 +438,13 @@ def test_energy_default_report():
     assert results["E"] == results["E1"] + results["E2"]
     assert results["m"] == 3 and results["n"] == 3
     assert results["alternate"]["formula_variant"] == "literal"
+
+
+def test_energy_without_a_second_variant_reports_no_alternate():
+    # one voter and one alternative: both formula variants give the same ledger
+    report = report_of(run_cli("energy", "--voters", "1", "--alternatives", "1"))
+    assert report["results"]["alternate"] is None
+    assert report["results"]["E"] == report["results"]["E1"] + report["results"]["E2"]
 
 
 def test_energy_unit_constants():

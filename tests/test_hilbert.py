@@ -248,6 +248,11 @@ def test_no_cloning_scan_explicit_states():
         states=[basis_state(6, 0), superpose([basis_state(6, 0), basis_state(6, 1)], [1, 1])],
     )
     assert with_plus.min_fidelity <= 0.5 + 1e-12
+    # within BASIS_TOL (1e-6) of a basis ray counts as basis-like, farther does not
+    near = [PureState(np.sqrt([1 - eps, 0, eps, 0, 0, 0]).astype(complex), 6)
+            for eps in (1e-7, 1e-5, 1e-3)]
+    report = no_cloning_scan(SPACE, states=near)
+    assert report.basis_like_count == 1 and report.nonbasis_strictly_below
 
 
 # ---- basis colorings ----

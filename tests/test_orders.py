@@ -1,9 +1,12 @@
+import re
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from arrowq import SizeLimitError
+from arrowq.hilbert import BallotSpace, ballot_state, decompose_ballot_pairwise
 from arrowq.orders import (
     alternative_pairs,
     enumerate_orders,
@@ -13,6 +16,7 @@ from arrowq.orders import (
     reverse_order,
     validate_order,
 )
+from arrowq.social_choice import projection_rule
 
 
 def test_enumerate_orders_small():
@@ -66,6 +70,25 @@ def test_validate_order_rejects_bad_input():
     with pytest.raises(ValueError):
         validate_order((0, 1), alternatives=3)
     assert validate_order([2, 0, 1]) == (2, 0, 1)
+
+
+def test_rankings_must_hold_integers():
+    cases = [
+        (lambda: order_rank((2, 1.9, 0.2)), (2, 1.9, 0.2)),
+        (lambda: ballot_state(BallotSpace(3), (0, 2.5, 1)), (0, 2.5, 1)),
+        (lambda: decompose_ballot_pairwise((0.9, 1.2, 2.7)), (0.9, 1.2, 2.7)),
+        (lambda: projection_rule(2, 3, 0).outcome(((0, 1.9, 2), (2, 1, 0))), (0, 1.9, 2)),
+        (lambda: order_rank(("1", "0", "2")), ("1", "0", "2")),
+        (lambda: validate_order((0, 1.0, 2), 3), (0, 1.0, 2)),
+    ]
+    for call, bad in cases:
+        message = "^" + re.escape(f"{bad!r} is not a ranking of alternatives 0..2") + "$"
+        with pytest.raises(ValueError, match=message):
+            call()
+    # numpy integers are integers: they pass, and come back as Python ints
+    ranking = validate_order(np.array([2, 0, 1], dtype=np.int8))
+    assert ranking == (2, 0, 1) and {type(a) for a in ranking} == {int}
+    assert order_rank(np.array([2, 1, 0])) == 5
 
 
 def test_alternative_pairs_lexicographic():

@@ -1,3 +1,4 @@
+import json
 import re
 import tracemalloc
 from itertools import combinations, product
@@ -82,6 +83,27 @@ def test_order_from_pair_bits_rejects_cycles():
         order_from_pair_bits((1, 0, 1), 3)
     with pytest.raises(IntransitiveOutcomeError):
         order_from_pair_bits((0, 1, 0), 3)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_order_from_pair_bits_matches_the_cycle_oracle(n, monkeypatch):
+    from arrowq.hilbert import decompose_ballot_pairwise
+
+    # the win counts decide: no pair is re-checked against the ranking
+    def refuse(*args):
+        raise AssertionError("prefers called")
+
+    monkeypatch.setattr(social_choice, "prefers", refuse)
+    pairs = n * (n - 1) // 2
+    acyclic = 0
+    for bits in product((0, 1), repeat=pairs):  # 1,024 vectors at n = 5
+        if oracles.tournament_is_acyclic(bits, n):
+            acyclic += 1
+            assert decompose_ballot_pairwise(order_from_pair_bits(bits, n)) == bits
+        else:
+            with pytest.raises(IntransitiveOutcomeError):
+                order_from_pair_bits(bits, n)
+    assert acyclic == len(enumerate_orders(n))
 
 
 @given(st.sampled_from(list(enumerate_orders(3))), st.sampled_from(list(enumerate_orders(3))))
@@ -212,6 +234,46 @@ def test_arrow_report_round_trip():
 
     bad = arrow_report(constant_rule(2, 2, (0, 1)))
     assert not bad.pareto and bad.to_json_dict()["pareto_witness"] is not None
+
+    iia = arrow_report(borda_rule(2, 3)).to_json_dict()["iia_witness"]
+    assert set(iia) == {"profile_p", "profile_q", "pair"}
+    assert len(iia["profile_p"]) == len(iia["profile_q"]) == 2 and len(iia["pair"]) == 2
+
+
+def test_arrow_report_scans_for_copying_voters_once(monkeypatch):
+    calls = []
+    scan = social_choice._copying_voters
+
+    def counted(rule):
+        calls.append(rule)
+        return scan(rule)
+
+    rules = projection_rule(3, 2, 2), borda_rule(2, 3), constant_rule(2, 3, (2, 0, 1))
+    monkeypatch.setattr(social_choice, "_copying_voters", counted)
+    reports = [arrow_report(rule) for rule in rules]
+    assert calls == list(rules)
+    monkeypatch.undo()
+    assert [r.dictator for r in reports] == [find_dictator(rule) for rule in rules] == [2, None, None]
+    assert [r.per_voter for r in reports] == [(False, False, True), (False, False), (False, False)]
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2)])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda m, n: projection_rule(m, n, m - 1),
+        lambda m, n: anti_projection_rule(m, n, 0),
+        lambda m, n: constant_rule(m, n, tuple(range(n))),
+        lambda m, n: borda_rule(m, n),
+    ],
+    ids=["projection", "anti-projection", "constant", "borda"],
+)
+def test_lifted_circuit_copies_exactly_the_dictator(m, n, make):
+    from arrowq.hilbert import BallotSpace, lift_rule_to_unitary
+
+    rule = make(m, n)
+    circuit = lift_rule_to_unitary(BallotSpace(n), rule)
+    assert min(circuit.copied_voters, default=None) == find_dictator(rule)
 
 
 def perturbed_dictator(m, n, voter, flips):
@@ -524,6 +586,20 @@ def test_rule_json_round_trip_pairwise():
     assert back.tables == rule.tables
 
 
+@pytest.mark.parametrize("rule", [
+    VotingRule(1, 2, tables=((0, True),)),
+    VotingRule(1, 2, tables=((0, 1.0),)),
+    VotingRule(1, 2, tables=((0, np.int64(1)),)),
+    VotingRule(1, 2, tables=((np.uint8(0), np.int8(1)),)),
+    VotingRule(1, 3, outcomes=((0, 1.0, 2), (True, 0, 2), (2, np.int64(1), 0),
+                               (1, 2, 0), (2, 0, 1), (2, 1, 0))),
+], ids=["bool", "float", "int64", "small-ints", "table"])
+def test_rule_json_survives_json_text(rule):
+    # entries the constructor accepts are written as Python ints
+    data = json.loads(json.dumps(rule_to_json_dict(rule)))
+    assert rule_from_json_dict(data) == rule
+
+
 def test_rule_json_round_trip_table():
     rule = borda_rule(2, 3).as_table()
     data = rule_to_json_dict(rule)
@@ -567,6 +643,34 @@ def test_rule_with_a_huge_declared_voter_count_is_refused_cheaply(kind, entries,
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: projection_rule(100, 3, 0),
+    lambda: pairwise_majority_rule(100, 2),
+    lambda: pairwise_majority_rule(63, 2),
+], ids=["projection", "majority", "majority-63"])
+def test_rule_builders_refuse_before_building(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^\d+ voters need 2\^\d+ or more rule entries$"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_rule_builders_build_no_table_without_a_pair():
+    tracemalloc.start()
+    try:
+        rules = projection_rule(40, 1, 7), pairwise_majority_rule(100, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert [rule.tables for rule in rules] == [(), ()]
+    assert [rule.outcome(((0,),) * rule.voters) for rule in rules] == [(0,), (0,)]
 
 
 def test_rule_alternative_count_is_checked_before_pairs_or_n_factorial(monkeypatch):
