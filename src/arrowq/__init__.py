@@ -35,7 +35,6 @@ from .social_choice import (
     order_from_pair_bits,
     pairwise_majority_rule,
     projection_rule,
-    rule_from_function,
     rule_from_json_dict,
     rule_to_json_dict,
     verify_arrow,

@@ -19,7 +19,7 @@ from math import cos, factorial, inf, pi, sin, sqrt
 
 import numpy as np
 
-from ._guards import SizeLimitError, check_guard, guard_multiplier
+from ._guards import SizeLimitError, guard_multiplier
 from .bell import (
     ch_value,
     chsh_value,
@@ -38,9 +38,9 @@ from .hilbert import (
     verify_ks_coloring,
 )
 from .landauer import EnergyParams, voting_energy
-from .orders import MAX_ALTERNATIVES
 from .social_choice import (
     check_circuit_size,
+    check_rule_size,
     projection_rule,
     rule_from_json_dict,
     verify_arrow,
@@ -142,12 +142,14 @@ def _run_clone_test(args):
     thetas = DEFAULT_THETAS if args.theta is None else tuple(
         float(x) for x in args.theta.split(",") if x.strip()
     )
+    if not thetas:  # no superposition tested is no pass
+        raise ValueError(f"--theta lists no angle: {args.theta!r}")
     if not 0 <= args.tolerance < inf:
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if args.rule is not None:
         rule = rule_from_json_dict(_load_json(args.rule))
     else:
-        check_guard(args.alternatives, MAX_ALTERNATIVES, "alternative count")  # before n!
+        check_rule_size(args.voters, args.alternatives)  # before n!
         check_circuit_size(args.voters, factorial(args.alternatives))  # before 2^m-bit tables
         rule = projection_rule(args.voters, args.alternatives, 0)
     m, n = rule.voters, rule.alternatives
@@ -177,7 +179,7 @@ def _run_clone_test(args):
         psi = PureState(amps, space.d)
         fidelities.append(cloning_fidelity(circuit, voter, psi))
         predicted.append((cos(theta) ** 3 + sin(theta) ** 3) ** 2)
-    formula_error = max((abs(f - p) for f, p in zip(fidelities, predicted)), default=0.0)
+    formula_error = max(abs(f - p) for f, p in zip(fidelities, predicted))
 
     basis_fid = [
         cloning_fidelity(circuit, voter, basis_state(space.d, i))

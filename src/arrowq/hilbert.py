@@ -163,23 +163,6 @@ class UnitaryCircuit:
         out[self.perm] = state.amplitudes
         return PureState(out, state.dim, state.registers)
 
-    def matrix(self) -> np.ndarray:
-        size = self.perm.shape[0]
-        mat = np.zeros((size, size), dtype=complex)
-        mat[self.perm, np.arange(size)] = 1.0
-        return mat
-
-    def sparse_entries(self) -> list[tuple[int, int]]:
-        """(row, column) positions of the 1-entries, column order."""
-        return [(int(r), c) for c, r in enumerate(self.perm)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dimension": self.space.d,
-            "registers": self.registers,
-            "entries": [[r, c] for r, c in self.sparse_entries()],
-        }
-
 
 def lift_rule_to_unitary(space: BallotSpace, rule: VotingRule) -> UnitaryCircuit:
     """Permutation unitary acting as |0>|p^1..p^m> -> |rank(r(p))>|p^1..p^m>.
@@ -292,6 +275,8 @@ def no_cloning_scan(
             amps[1] = np.sin(theta)
             samples.append(PureState(amps, space.d))
             thetas.append(theta)
+    if not samples:  # a scan of nothing would certify failure vacuously
+        raise ValueError("no_cloning_scan needs trials >= 1 or at least one state")
 
     min_f, min_theta = np.inf, None
     basis_like = 0

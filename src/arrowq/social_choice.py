@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from math import factorial
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .orders import (
     enumerate_orders,
     order_rank,
     prefers,
-    reverse_order,
     validate_order,
 )
 
@@ -140,9 +139,17 @@ profile_domain = lru_cache(maxsize=8)(ProfileDomain)
 
 # ---- voting rules ----
 
-def _check_rule_size(m: int, n: int) -> None:
+def check_rule_size(m: int, n: int) -> None:
+    """The size check every rule takes before n! or a pair list is built:
+    at least one voter and one alternative, then the alternative guard."""
     if m < 1 or n < 1:
         raise ValueError("need at least one voter and one alternative")
+    check_guard(n, MAX_ALTERNATIVES, "alternative count")
+
+
+def _check_rule_entries(m: int, n: int) -> None:
+    """check_rule_size, then the limit on a rule's 2^m-entry tables."""
+    check_rule_size(m, n)
     if n > 1 and m >= 63:  # 2^m entries or more: no list is that long
         raise ValueError(f"{m} voters need 2^{m} or more rule entries")
 
@@ -165,7 +172,7 @@ class VotingRule:
 
     def __post_init__(self):
         m, n = self.voters, self.alternatives
-        _check_rule_size(m, n)
+        _check_rule_entries(m, n)
         if (self.tables is None) == (self.outcomes is None):
             raise ValueError("exactly one of tables/outcomes must be given")
         if self.tables is not None:
@@ -176,7 +183,6 @@ class VotingRule:
                 if len(t) != 1 << m or any(bit not in (0, 1) for bit in t):
                     raise ValueError("each table needs 2^m bits")
         else:
-            check_guard(n, MAX_ALTERNATIVES, "alternative count")  # outcome_ranks' guard, before n!
             if len(self.outcomes) != factorial(n) ** m:
                 raise ValueError(f"expected {factorial(n) ** m} outcome entries")
             self.outcome_ranks  # ranks every entry, raising on a non-ranking
@@ -228,49 +234,47 @@ class VotingRule:
         profiles where the pairwise tournament cycles get None entries."""
         if self.outcomes is not None:
             return self
-        orders = enumerate_orders(self.alternatives)
-        outs = tuple(orders[r] if r >= 0 else None for r in self.outcome_ranks.tolist())
-        return VotingRule(self.voters, self.alternatives, outcomes=outs)
+        return _rule_from_ranks(self.voters, self.alternatives, self.outcome_ranks)
 
 
-def rule_from_function(m: int, n: int, fn: Callable[[Profile], LinearOrder]) -> VotingRule:
-    """Tabulate an arbitrary profile -> ranking function."""
-    outs = tuple(tuple(fn(p)) for p in all_profiles(m, n))
-    return VotingRule(m, n, outcomes=outs)
+def _rule_from_ranks(m: int, n: int, ranks: np.ndarray) -> VotingRule:
+    """Table rule whose outcome at profile j is the ranking of rank
+    ranks[j], in profile_domain order; rank -1 gives a None entry."""
+    orders = (*enumerate_orders(n), None)  # index -1 reads the None
+    return VotingRule(m, n, outcomes=tuple(map(orders.__getitem__, ranks.tolist())))
 
 
 def projection_rule(m: int, n: int, voter: int) -> VotingRule:
     """Outcome = the chosen voter's ballot, in pairwise form."""
+    _check_rule_entries(m, n)  # before building 2^m entries; one alternative needs none
     if not 0 <= voter < m:
         raise ValueError(f"voter {voter} out of range for {m} voters")
-    _check_rule_size(m, n)  # before building 2^m entries; one alternative needs none
     table = tuple((v >> voter) & 1 for v in range(1 << m)) if n > 1 else ()
     return VotingRule(m, n, tables=(table,) * len(alternative_pairs(n)))
 
 
 def constant_rule(m: int, n: int, order: LinearOrder) -> VotingRule:
-    order = validate_order(order, n)
-    return rule_from_function(m, n, lambda p: order)
+    rank = order_rank(validate_order(order, n))
+    return _rule_from_ranks(m, n, np.full(len(profile_domain(m, n).ballot_ranks), rank))
 
 
 def anti_projection_rule(m: int, n: int, voter: int) -> VotingRule:
-    """Outcome = reverse of the chosen voter's ballot."""
+    """Outcome = reverse of the chosen voter's ballot: reversing a ballot
+    flips every pair bit."""
+    domain = profile_domain(m, n)
     if not 0 <= voter < m:
         raise ValueError(f"voter {voter} out of range for {m} voters")
-    return rule_from_function(m, n, lambda p: reverse_order(p[voter]))
+    reversed_rank = domain.decode(~domain.ballot_bits)
+    return _rule_from_ranks(m, n, reversed_rank[domain.ballot_ranks[:, voter]])
 
 
 def borda_rule(m: int, n: int) -> VotingRule:
     """Positional-score rule; score ties broken toward the lower id."""
-
-    def fn(profile):
-        score = [0] * n
-        for ballot in profile:
-            for pos, a in enumerate(ballot):
-                score[a] += n - 1 - pos
-        return tuple(sorted(range(n), key=lambda a: (-score[a], a)))
-
-    return rule_from_function(m, n, fn)
+    domain = profile_domain(m, n)
+    points = n - 1 - np.argsort(domain.orders, axis=1)  # points[r, a]: ballot r's score for a
+    score = sum(points[domain.ballot_ranks[:, i]] for i in range(m))
+    a, b = np.array(alternative_pairs(n), dtype=np.int64).reshape(-1, 2).T
+    return _rule_from_ranks(m, n, domain.decode(score[:, a] >= score[:, b]))
 
 
 def pairwise_majority_rule(m: int, n: int) -> VotingRule:
@@ -279,7 +283,7 @@ def pairwise_majority_rule(m: int, n: int) -> VotingRule:
     For n > 2 the outcome can cycle on some profiles, in which case
     outcome() raises IntransitiveOutcomeError.
     """
-    _check_rule_size(m, n)  # before building 2^m entries; one alternative needs none
+    _check_rule_entries(m, n)  # before building 2^m entries; one alternative needs none
     table = tuple(int(bin(v).count("1") * 2 > m) for v in range(1 << m)) if n > 1 else ()
     return VotingRule(m, n, tables=(table,) * len(alternative_pairs(n)))
 
@@ -496,9 +500,7 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     every completion of the rest is a fair rule, and they are listed
     without branching.
     """
-    if m < 1 or n < 1:
-        raise ValueError("need at least one voter and one alternative")
-    check_guard(n, MAX_ALTERNATIVES, "alternative count for rule enumeration")
+    check_rule_size(m, n)
     check_power_guard(2, m, 16, "profile bit-vector size 2^m")
     size, npairs = 1 << m, len(alternative_pairs(n))
     nogoods = _cyclic_nogoods(m, n)

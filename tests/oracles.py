@@ -173,6 +173,35 @@ def first_iia_violation(outcomes, profiles, n):
     return None
 
 
+# ---- example rules, tabulated one profile at a time ----
+
+def tabulate(m, n, fn):
+    """fn's ranking at every profile, profiles in lexicographic order of
+    their ballots (voter 0 most significant)."""
+    return tuple(tuple(fn(p)) for p in product(all_rankings(n), repeat=m))
+
+
+def constant_outcome(order):
+    return lambda profile: order
+
+
+def anti_projection_outcome(voter):
+    return lambda profile: tuple(reversed(profile[voter]))
+
+
+def borda_outcome(n):
+    """Positional scores n - 1 - position, ties broken toward the lower id."""
+
+    def fn(profile):
+        score = [0] * n
+        for ballot in profile:
+            for pos, a in enumerate(ballot):
+                score[a] += n - 1 - pos
+        return tuple(sorted(range(n), key=lambda a: (-score[a], a)))
+
+    return fn
+
+
 # ---- two-qubit expectations by explicit 4x4 Kronecker products ----
 
 IDENTITY = np.eye(2, dtype=complex)

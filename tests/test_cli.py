@@ -192,6 +192,20 @@ def test_clone_test_explicit_theta_list():
     assert abs(results["fidelity"][1] - 0.5) < 1e-9
 
 
+def test_clone_test_without_an_angle_exits_two():
+    # no superposition tested is no pass
+    proc = run_cli("clone-test", "--theta", ",")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: --theta lists no angle: ','\n"
+
+
+@pytest.mark.parametrize("flags", [("--alternatives", "-1"), ("--voters", "0")])
+def test_clone_test_empty_electorate_exits_two(flags):
+    proc = run_cli("clone-test", *flags)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: need at least one voter and one alternative\n"
+
+
 def test_clone_test_rule_file(tmp_path):
     path = tmp_path / "rule.json"
     path.write_text(json.dumps(rule_to_json_dict(projection_rule(2, 3, 1))))

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import tracemalloc
 from itertools import combinations, product
 
@@ -136,12 +137,57 @@ def test_majority_rule_cycles_on_condorcet_profile():
 def test_profile_domain_rows_match_scalar_functions(m, n):
     domain = profile_domain(m, n)
     pairs = alternative_pairs(n)
-    for j, profile in enumerate(all_profiles(m, n)):
+    rankings = oracles.all_rankings(n)
+    assert pairs == oracles.unordered_pairs(n)
+    assert domain.ballot_bits.tolist() == [
+        [oracles.ranks_above(ballot, a, b) for a, b in pairs] for ballot in rankings]
+    profiles = list(all_profiles(m, n))
+    assert profiles == list(product(rankings, repeat=m))
+    for j, profile in enumerate(profiles):
         assert profile_index(profile) == j
         assert domain.profile(j) == profile
         assert domain.ballot_ranks[j].tolist() == [order_rank(b) for b in profile]
+        assert domain.ballot_ranks[j].tolist() == [rankings.index(b) for b in profile]
         assert domain.pair_inputs[j].tolist() == [pair_input(profile, a, b) for a, b in pairs]
+        assert domain.pair_inputs[j].tolist() == [
+            sum(oracles.ranks_above(ballot, a, b) << i for i, ballot in enumerate(profile))
+            for a, b in pairs]
     assert len(domain.ballot_ranks) == j + 1
+
+
+# one voter with up to 8 alternatives, two with up to 6, and three sizes past two voters
+BUILDER_SIZES = ([(1, n) for n in range(1, 9)] + [(2, n) for n in range(1, 7)]
+                 + [(3, 2), (3, 3), (4, 2)])
+
+
+@pytest.mark.parametrize("m,n", BUILDER_SIZES)
+def test_example_rules_match_the_profile_by_profile_oracle(monkeypatch, m, n):
+    def refuse(*args):
+        raise AssertionError("a builder walked the profiles one at a time")
+
+    monkeypatch.setattr(social_choice, "all_profiles", refuse)
+    order = tuple(range(n))[::-1]
+    assert constant_rule(m, n, order).outcomes == oracles.tabulate(
+        m, n, oracles.constant_outcome(order))
+    for voter in range(m):
+        assert anti_projection_rule(m, n, voter).outcomes == oracles.tabulate(
+            m, n, oracles.anti_projection_outcome(voter))
+    assert borda_rule(m, n).outcomes == oracles.tabulate(m, n, oracles.borda_outcome(n))
+
+
+def test_builder_past_the_profile_domain_guard_is_refused_at_once(monkeypatch):
+    # 120^3 = 1,728,000 profiles exceed (n!)^m <= 2^19
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(SizeLimitError, match=r"^profile count \(n!\)\^m = 1728000 exceeds"):
+            borda_rule(3, 5)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 1 << 20
 
 
 def test_profile_domain_guard():
@@ -661,6 +707,23 @@ def test_rule_builders_refuse_before_building(build):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("build", [
+    lambda: projection_rule(1, 2000, 0),
+    lambda: pairwise_majority_rule(1, 2000),
+], ids=["projection", "majority"])
+def test_rule_builders_guard_the_alternative_count(monkeypatch, build):
+    # 2000 alternatives would list 1,999,000 pairs and tables
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="^alternative count = 2000 exceeds"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_rule_builders_build_no_table_without_a_pair():
     tracemalloc.start()
     try:
@@ -674,19 +737,19 @@ def test_rule_builders_build_no_table_without_a_pair():
 
 
 def test_rule_alternative_count_is_checked_before_pairs_or_n_factorial(monkeypatch):
-    # the pair count is C(n, 2) without listing the pairs (44,850 tuples here)
+    # the alternative guard holds for pairwise rules too, before any of the
+    # 44,850 pairs is listed
+    monkeypatch.delenv("ARROWQ_GUARD_OVERRIDE", raising=False)
     data = {"voters": 1, "alternatives": 300, "kind": "pairwise", "entries": [[0, 1]]}
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="^expected 44850 pair tables$"):
+        with pytest.raises(SizeLimitError, match="^alternative count = 300 exceeds"):
             rule_from_json_dict(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # a table rule ranks its entries under the alternative guard; it now
-    # applies before the size check computes n!
-    monkeypatch.delenv("ARROWQ_GUARD_OVERRIDE", raising=False)
+    # a table rule takes the same guard before the size check computes n!
     data = {"voters": 1, "alternatives": 9, "kind": "table", "entries": [[0, 1]]}
     with pytest.raises(SizeLimitError, match="^alternative count = 9 exceeds"):
         rule_from_json_dict(data)
