@@ -53,32 +53,46 @@ _JSON_SCALARS = frozenset((int, float, bool, type(None)))
 
 def _encode(value, indent: str = "") -> str:
     """json.dumps(value, sort_keys=True, indent=2), byte for byte, for
-    dicts with str keys, lists, tuples, JSON scalars, and integer arrays
-    whose entries are digits 0-9 (written as their .tolist()).
+    the values _pieces takes."""
+    return "".join(_pieces(value, indent))
+
+
+def _pieces(value, indent: str = ""):
+    """The text of _encode(value, indent) as pieces in document order, so a
+    report is joined once, by its writer, rather than once per nesting
+    level.  Takes dicts with str keys, lists, tuples, JSON scalars, and
+    integer arrays whose entries are digits 0-9 (written as their
+    .tolist(), in one piece).
 
     With indent, json.dumps runs CPython's pure-Python encoder; here every
-    list of ints, floats, bools and None is one call of the C encoder, whose
-    ", "-separated items are split apart.  No number, true, false, null,
-    NaN or Infinity contains ", ", and strings never take that path.  Other
-    scalars (subclasses such as numpy floats) go through json.dumps one by
-    one, which gives the same bytes."""
-    if isinstance(value, np.ndarray):
-        return _encode_digits(value, indent)
+    list of ints, floats, bools and None is one call of the C encoder,
+    whose ", " separators become ",\n" and the indent.  No number, true,
+    false, null, NaN or Infinity contains ", ", and strings never take that
+    path.  Other scalars (subclasses such as numpy floats) go through
+    json.dumps one by one, which gives the same bytes."""
     inner = indent + "  "
-    if isinstance(value, dict):
-        brackets = "{}"
-        items = (f"{json.dumps(k)}: {_encode(value[k], inner)}" for k in sorted(value))
-    elif isinstance(value, (list, tuple)):
-        brackets = "[]"
-        if _JSON_SCALARS.issuperset(map(type, value)):
-            items = json.dumps(value)[1:-1].split(", ")
-        else:
-            items = (_encode(x, inner) for x in value)
+    if isinstance(value, np.ndarray):
+        yield _encode_digits(value, indent)
+    elif not isinstance(value, (dict, list, tuple)):
+        yield json.dumps(value)
+    elif not value:
+        yield "{}" if isinstance(value, dict) else "[]"
+    elif isinstance(value, dict):
+        separator = f"{{\n{inner}"
+        for k in sorted(value):
+            yield f"{separator}{json.dumps(k)}: "
+            yield from _pieces(value[k], inner)
+            separator = f",\n{inner}"
+        yield f"\n{indent}}}"
+    elif _JSON_SCALARS.issuperset(map(type, value)):
+        yield f"[\n{inner}" + json.dumps(value)[1:-1].replace(", ", f",\n{inner}") + f"\n{indent}]"
     else:
-        return json.dumps(value)
-    if not value:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+        separator = f"[\n{inner}"
+        for x in value:
+            yield separator
+            yield from _pieces(x, inner)
+            separator = f",\n{inner}"
+        yield f"\n{indent}]"
 
 
 def _encode_digits(array: np.ndarray, indent: str) -> str:
@@ -110,12 +124,16 @@ def _encode_digits(array: np.ndarray, indent: str) -> str:
 
 
 def _emit(report: dict, output: str):
-    text = _encode(report) + "\n"
+    """Write the report and a newline to stdout (output "-") or to the file
+    output.  Every piece is made before anything is written or the file is
+    opened, so a report that cannot be encoded writes nothing; the pieces
+    then go out in one writelines."""
+    pieces = [*_pieces(report), "\n"]
     if output == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _load_json(path: str) -> dict:

@@ -185,7 +185,9 @@ class VotingRule:
         else:
             if len(self.outcomes) != factorial(n) ** m:
                 raise ValueError(f"expected {factorial(n) ** m} outcome entries")
-            self.outcome_ranks  # ranks every entry, raising on a non-ranking
+            # ranks every entry, raising on a non-ranking, unless
+            # _rule_from_ranks has put the ranks in place
+            self.outcome_ranks
 
     @property
     def kind(self) -> str:
@@ -239,9 +241,17 @@ class VotingRule:
 
 def _rule_from_ranks(m: int, n: int, ranks: np.ndarray) -> VotingRule:
     """Table rule whose outcome at profile j is the ranking of rank
-    ranks[j], in profile_domain order; rank -1 gives a None entry."""
+    ranks[j], in profile_domain order; rank -1 gives a None entry.
+
+    The rule keeps ranks, made read-only, as its outcome_ranks: they are in
+    place before __init__ runs, so __post_init__ checks the entry count but
+    does not rank the outcomes again."""
     orders = (*enumerate_orders(n), None)  # index -1 reads the None
-    return VotingRule(m, n, outcomes=tuple(map(orders.__getitem__, ranks.tolist())))
+    ranks.flags.writeable = False
+    rule = object.__new__(VotingRule)
+    rule.__dict__["outcome_ranks"] = ranks
+    rule.__init__(m, n, outcomes=tuple(map(orders.__getitem__, ranks.tolist())))
+    return rule
 
 
 def projection_rule(m: int, n: int, voter: int) -> VotingRule:
@@ -581,11 +591,16 @@ def verify_arrow(m: int, n: int) -> ArrowVerification:
 
     A fair rule is total and every voter vector occurs on every pair, so
     voter i dictates exactly when every table equals voter i's projection
-    table; one array comparison gives find_dictator for every rule.
+    table.  Each 2^m-bit table is read once, as the packed code
+    table @ 2^(0..2^m-1) (under 2^16 within the search's guard), and one
+    comparison of the [rule, pair] codes with the m projection codes gives
+    find_dictator for every rule.
     """
     rules = enumerate_fair_rules(m, n)
-    projections = (np.arange(1 << m) >> np.arange(m)[:, None]) & 1
-    copies = (rules.tables[:, None] == projections[None, :, None]).all(axis=(2, 3))
+    weights = 1 << np.arange(1 << m)
+    projections = ((np.arange(1 << m) >> np.arange(m)[:, None]) & 1) @ weights
+    codes = rules.tables @ weights
+    copies = (codes[:, None] == projections[:, None]).all(axis=2)
     dictated, first = copies.any(axis=1), copies.argmax(axis=1)
     per_rule = tuple(d if hit else None for d, hit in zip(first.tolist(), dictated.tolist()))
     dictators = tuple(np.unique(first[dictated]).tolist())

@@ -590,6 +590,30 @@ def test_output_flag_writes_file(tmp_path):
     assert on_disk["subcommand"] == "energy"
 
 
+def test_output_file_holds_the_stdout_bytes(monkeypatch, capsys, tmp_path):
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    argv = ("verify-arrow", "--voters", "4", "--alternatives", "2")
+    path = tmp_path / "r42.json"
+    assert run_main(capsys, *argv, "--output", str(path))[:2] == (0, "")
+    code, out, _ = run_main(capsys, *argv)
+    on_disk = path.read_bytes()
+    assert code == 0 and on_disk == out.encode()
+    assert hashlib.sha256(on_disk).hexdigest() == oracles.VERIFY_ARROW_REPORT_SHA256[4, 2]
+
+
+def test_a_report_the_writer_refuses_writes_nothing(capsys, tmp_path):
+    # the refused array comes last, after pieces that encode fine
+    report = {"config": {"voters": 2}, "results": {"dictators": [0, 1],
+                                                   "rules": np.array([[0, 10]], dtype=np.int8)}}
+    path = tmp_path / "report.json"
+    path.write_text("an earlier report\n")
+    for output in ("-", str(path)):
+        with pytest.raises(ValueError, match="digits 0-9"):
+            cli._emit(report, output)
+    assert capsys.readouterr().out == ""
+    assert path.read_text() == "an earlier report\n"
+
+
 def test_timing_flag_adds_key_and_breaks_nothing_else():
     plain = report_of(run_cli("energy"))
     timed = report_of(run_cli("energy", "--timing"))

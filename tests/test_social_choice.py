@@ -160,19 +160,37 @@ BUILDER_SIZES = ([(1, n) for n in range(1, 9)] + [(2, n) for n in range(1, 7)]
                  + [(3, 2), (3, 3), (4, 2)])
 
 
+class RanksComputedAgain:
+    """Stands in for VotingRule.outcome_ranks: a rule built from ranks has
+    them in its __dict__ already, which a non-data descriptor defers to."""
+
+    def __get__(self, rule, owner=None):
+        raise AssertionError("a rule built from ranks ranked its outcomes again")
+
+
 @pytest.mark.parametrize("m,n", BUILDER_SIZES)
 def test_example_rules_match_the_profile_by_profile_oracle(monkeypatch, m, n):
     def refuse(*args):
         raise AssertionError("a builder walked the profiles one at a time")
 
-    monkeypatch.setattr(social_choice, "all_profiles", refuse)
+    projection = projection_rule(m, n, m - 1)
+    ranks = projection.outcome_ranks
     order = tuple(range(n))[::-1]
-    assert constant_rule(m, n, order).outcomes == oracles.tabulate(
-        m, n, oracles.constant_outcome(order))
-    for voter in range(m):
-        assert anti_projection_rule(m, n, voter).outcomes == oracles.tabulate(
-            m, n, oracles.anti_projection_outcome(voter))
-    assert borda_rule(m, n).outcomes == oracles.tabulate(m, n, oracles.borda_outcome(n))
+    with monkeypatch.context() as patch:
+        patch.setattr(social_choice, "all_profiles", refuse)
+        patch.setattr(social_choice.VotingRule, "outcome_ranks", RanksComputedAgain())
+        built = [
+            (oracles.constant_outcome(order), constant_rule(m, n, order)),
+            *((oracles.anti_projection_outcome(voter), anti_projection_rule(m, n, voter))
+              for voter in range(m)),
+            (oracles.borda_outcome(n), borda_rule(m, n)),
+            (lambda profile: profile[m - 1], projection.as_table()),
+        ]
+    assert built[-1][1].outcome_ranks is ranks
+    rank = {ballot: r for r, ballot in enumerate(oracles.all_rankings(n))}
+    for outcome, rule in built:
+        assert rule.outcomes == oracles.tabulate(m, n, outcome)
+        assert rule.outcome_ranks.tolist() == [rank[o] for o in rule.outcomes]
 
 
 def test_builder_past_the_profile_domain_guard_is_refused_at_once(monkeypatch):
@@ -510,8 +528,11 @@ def test_single_alternative_fair_rule_is_pairwise():
     assert rule.tables == () and rule.is_total() and find_dictator(rule) == 0
 
 
+# (m, 1) rules have no pair tables, so every voter matches; (4, 4) has the
+# widest tables the search's guard admits, 2^4 bits, on six pairs
 @pytest.mark.parametrize(
-    "m, n", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3), (3, 1)]
+    "m, n", [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 3),
+             (1, 1), (2, 1), (3, 1), (4, 4)]
 )
 def test_batched_dictators_match_find_dictator(m, n):
     v = verify_arrow(m, n)
