@@ -47,6 +47,7 @@ from .hilbert import (
     UnitaryCircuit,
     ballot_state,
     basis_state,
+    cloning_fidelities,
     cloning_fidelity,
     decompose_ballot_pairwise,
     discover_orthonormal_bases,

@@ -15,7 +15,7 @@ import json
 import sys
 import time
 from functools import lru_cache
-from math import cos, factorial, inf, pi, sin, sqrt
+from math import cos, factorial, inf, isfinite, pi, sin, sqrt
 
 import numpy as np
 
@@ -30,9 +30,7 @@ from .bell import (
 )
 from .hilbert import (
     BallotSpace,
-    PureState,
-    basis_state,
-    cloning_fidelity,
+    cloning_fidelities,
     ks_instance_from_json_dict,
     lift_rule_to_unitary,
     verify_ks_coloring,
@@ -162,6 +160,8 @@ def _run_clone_test(args):
     )
     if not thetas:  # no superposition tested is no pass
         raise ValueError(f"--theta lists no angle: {args.theta!r}")
+    if not all(map(isfinite, thetas)):
+        raise ValueError(f"--theta lists a non-finite angle: {args.theta!r}")
     if not 0 <= args.tolerance < inf:
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     if args.rule is not None:
@@ -190,19 +190,14 @@ def _run_clone_test(args):
         "tolerance": args.tolerance,
     }
 
-    fidelities, predicted = [], []
-    for theta in thetas:
-        amps = np.zeros(space.d, dtype=complex)
-        amps[0], amps[1] = cos(theta), sin(theta)
-        psi = PureState(amps, space.d)
-        fidelities.append(cloning_fidelity(circuit, voter, psi))
-        predicted.append((cos(theta) ** 3 + sin(theta) ** 3) ** 2)
+    amps = np.zeros((len(thetas), space.d), dtype=complex)
+    amps[:, 0] = [cos(theta) for theta in thetas]
+    amps[:, 1] = [sin(theta) for theta in thetas]
+    fidelities = cloning_fidelities(circuit, voter, amps).tolist()
+    predicted = [(cos(theta) ** 3 + sin(theta) ** 3) ** 2 for theta in thetas]
     formula_error = max(abs(f - p) for f, p in zip(fidelities, predicted))
 
-    basis_fid = [
-        cloning_fidelity(circuit, voter, basis_state(space.d, i))
-        for i in range(space.ballots)
-    ]
+    basis_fid = cloning_fidelities(circuit, voter, np.eye(space.d)[:space.ballots]).tolist()
     basis_ok = all(abs(f - 1.0) <= args.tolerance for f in basis_fid)
 
     results = {
@@ -366,25 +361,24 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         config, results, passed = args.run(args)
+        elapsed = time.perf_counter() - started
+        config["seed"] = args.seed
+        config["guard_multiplier"] = guard_multiplier()
+        report = {
+            "subcommand": args.subcommand,
+            "config": config,
+            "results": results,
+            "pass": passed,
+        }
+        if args.timing:
+            report["wall_time_s"] = elapsed
+        _emit(report, args.output)  # an --output path that cannot be opened is an OSError
     except SizeLimitError as exc:
         print(f"size limit: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - started
-
-    config["seed"] = args.seed
-    config["guard_multiplier"] = guard_multiplier()
-    report = {
-        "subcommand": args.subcommand,
-        "config": config,
-        "results": results,
-        "pass": passed,
-    }
-    if args.timing:
-        report["wall_time_s"] = elapsed
-    _emit(report, args.output)
     print(f"wall time: {elapsed:.3f}s", file=sys.stderr)
     return 0 if passed else 1
 

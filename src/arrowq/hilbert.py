@@ -187,26 +187,38 @@ def is_dictatorial_circuit(circuit: UnitaryCircuit, voter: int) -> bool:
 
 # ---- cloning ----
 
-def cloning_fidelity(
+def cloning_fidelities(
     circuit: UnitaryCircuit,
     voter: int,
-    psi: PureState,
+    amplitudes,
     fillers: Optional[Sequence[LinearOrder]] = None,
-) -> float:
-    """Overlap-squared between the circuit's output and a perfect clone.
+) -> np.ndarray:
+    """Overlap-squared between the circuit's output and a perfect clone,
+    for each row of a [K, d] array of unit-norm voter states.
 
-    Input is |0> on the ancilla, psi in the chosen voter's register, and
-    fixed basis ballots elsewhere; the ideal output carries psi on both the
-    ancilla and the voter register with fillers untouched.  Requires a
-    circuit that copies basis ballots for this voter, so any fidelity below
-    1 on a superposition is a genuine cloning failure.
+    Input k is |0> on the ancilla, amplitudes[k] in the chosen voter's
+    register, and fixed basis ballots elsewhere; the ideal output carries
+    that state on both the ancilla and the voter register with fillers
+    untouched.  Requires a circuit that copies basis ballots for this voter,
+    so any fidelity below 1 on a superposition is a genuine cloning failure.
+
+    The circuit is simulated on all K inputs at once.  Each input lives on
+    the d basis states b that sweep the voter register, so its image under
+    the permutation lives on perm[b].  A target on the ideal output's
+    support has ancilla a and voter value c, and F_k is
+    |sum_b conj(psi_k[a_b] psi_k[c_b]) psi_k[b]|^2; a target off that
+    support contributes 0.  Voter, fillers and shape are checked once, the
+    row norms as one array.
     """
     if voter not in circuit.copied_voters:
         raise ValueError(f"circuit does not copy voter {voter} on basis profiles")
     m = circuit.registers - 1
     d = circuit.space.d
-    if psi.dim != d or psi.registers != 1:
-        raise ValueError("psi must be a single-register state of the circuit's space")
+    psi = np.asarray(amplitudes, dtype=complex)
+    if psi.ndim != 2 or psi.shape[1] != d:
+        raise ValueError(f"amplitudes must be rows of {d} entries, got shape {psi.shape}")
+    if not (np.abs(np.linalg.norm(psi, axis=1) - 1.0) <= NORM_TOL).all():  # NaN fails too
+        raise ValueError("state is not normalized")
     if fillers is None:
         fillers = [tuple(range(circuit.space.n))] * (m - 1)
     if len(fillers) != m - 1:
@@ -215,13 +227,26 @@ def cloning_fidelity(
     digits.insert(voter, 0)
     # flat index of ancilla 0, the fillers, and each value of the voter register
     base = sum(r * d ** (m - 1 - i) for i, r in enumerate(digits))
-    swept = base + np.arange(d) * d ** (m - 1 - voter)
-    amps_in = np.zeros(d ** (m + 1), dtype=complex)
-    amps_in[swept] = psi.amplitudes
-    ideal = np.zeros_like(amps_in)
-    ideal[np.arange(d)[:, None] * d ** m + swept] = np.outer(psi.amplitudes, psi.amplitudes)
-    actual = circuit.apply(PureState(amps_in, d, m + 1))
-    return float(abs(np.vdot(ideal, actual.amplitudes)) ** 2)
+    stride = d ** (m - 1 - voter)
+    ancilla, voters = np.divmod(circuit.perm[base + np.arange(d) * stride], d ** m)
+    value, misfit = np.divmod(voters - base, stride)
+    on_line = (misfit == 0) & (value >= 0) & (value < d)
+    a, c, b = ancilla[on_line], value[on_line], np.flatnonzero(on_line)
+    overlaps = (np.conj(psi[:, a] * psi[:, c]) * psi[:, b]).sum(axis=1)
+    return np.abs(overlaps) ** 2
+
+
+def cloning_fidelity(
+    circuit: UnitaryCircuit,
+    voter: int,
+    psi: PureState,
+    fillers: Optional[Sequence[LinearOrder]] = None,
+) -> float:
+    """Overlap-squared between the circuit's output and a perfect clone of
+    psi: the one-row call of cloning_fidelities, which holds the conventions."""
+    if psi.registers != 1:
+        raise ValueError("psi must be a single-register state of the circuit's space")
+    return float(cloning_fidelities(circuit, voter, psi.amplitudes[None], fillers)[0])
 
 
 @dataclass(frozen=True)
@@ -250,52 +275,42 @@ def no_cloning_scan(
 ) -> NoCloningReport:
     """Minimum cloning fidelity over sampled ballot superpositions.
 
-    Default sampling draws theta uniformly on [0, pi/2] and tests
+    Default sampling draws all trials angles theta uniformly on [0, pi/2]
+    in one call, the same stream as one draw per trial, and tests
     cos(theta)|b0> + sin(theta)|b1> on the first two ballot rays, so runs
-    are reproducible from the seed.  States whose largest amplitude reaches
+    are reproducible from the seed.  Every sample goes through one
+    cloning_fidelities call.  States whose largest amplitude reaches
     1 - BASIS_TOL count as basis-like; every other sample must clone with
     fidelity strictly below 1 - 1e-6 for the report to certify failure.
     """
     circuit = lift_rule_to_unitary(space, projection_rule(m, space.n, voter))
     threshold = 1.0 - 1e-6
 
-    thetas: list[Optional[float]] = []
-    samples: list[PureState] = []
-    if states is not None:
-        samples = list(states)
-        thetas = [None] * len(samples)
-    else:
-        if space.ballots < 2:
-            raise ValueError("superposition sampling needs at least two ballots")
-        rng = np.random.default_rng(seed)
-        for _ in range(trials):
-            theta = float(rng.uniform(0.0, np.pi / 2))
-            amps = np.zeros(space.d, dtype=complex)
-            amps[0] = np.cos(theta)
-            amps[1] = np.sin(theta)
-            samples.append(PureState(amps, space.d))
-            thetas.append(theta)
-    if not samples:  # a scan of nothing would certify failure vacuously
+    if states is None and space.ballots < 2:
+        raise ValueError("superposition sampling needs at least two ballots")
+    if (trials if states is None else len(states)) < 1:
+        # a scan of nothing would certify failure vacuously
         raise ValueError("no_cloning_scan needs trials >= 1 or at least one state")
+    if states is not None:
+        if any(st.dim != space.d or st.registers != 1 for st in states):
+            raise ValueError("psi must be a single-register state of the circuit's space")
+        amps = np.array([st.amplitudes for st in states])
+        thetas = [None] * len(amps)
+    else:
+        thetas = np.random.default_rng(seed).uniform(0.0, np.pi / 2, trials).tolist()
+        amps = np.zeros((trials, space.d), dtype=complex)
+        amps[:, 0], amps[:, 1] = np.cos(thetas), np.sin(thetas)
 
-    min_f, min_theta = np.inf, None
-    basis_like = 0
-    nonbasis_ok = True
-    for psi, theta in zip(samples, thetas):
-        f = cloning_fidelity(circuit, voter, psi)
-        if psi.basis_index(BASIS_TOL) is not None:
-            basis_like += 1
-        elif f >= threshold:
-            nonbasis_ok = False
-        if f < min_f:
-            min_f, min_theta = f, theta
+    fidelities = cloning_fidelities(circuit, voter, amps)
+    basis_like = np.abs(np.abs(amps).max(axis=1) - 1.0) <= BASIS_TOL
+    worst = int(np.argmin(fidelities))
     return NoCloningReport(
-        trials=len(samples),
+        trials=len(amps),
         seed=seed if states is None else None,
-        min_fidelity=float(min_f),
-        min_theta=min_theta,
-        basis_like_count=basis_like,
-        nonbasis_strictly_below=nonbasis_ok,
+        min_fidelity=float(fidelities[worst]),
+        min_theta=thetas[worst],
+        basis_like_count=int(basis_like.sum()),
+        nonbasis_strictly_below=bool((fidelities[~basis_like] < threshold).all()),
         threshold=threshold,
     )
 

@@ -6,6 +6,7 @@ simulation code.  Expected values frozen in tests were computed with these
 functions.
 """
 
+from functools import reduce
 from itertools import permutations, product
 
 import numpy as np
@@ -203,6 +204,37 @@ def borda_outcome(n):
 
 
 # ---- two-qubit expectations by explicit 4x4 Kronecker products ----
+
+def dense_cloning_fidelity(perm, d, m, voter, psi, filler_ranks):
+    """|<ideal|U|in>|^2 for the permutation circuit perm on an ancilla and m
+    voter registers of d levels, U the dense matrix with U[perm[i], i] = 1.
+
+    The input is |0> on the ancilla, psi on the voter register and the basis
+    rays filler_ranks on the other voters, in order; the ideal output
+    carries psi on the ancilla as well."""
+    size = d ** (m + 1)
+    unitary = np.zeros((size, size))
+    for i, j in enumerate(perm):
+        unitary[j, i] = 1.0
+    rays = np.eye(d)
+    registers = [rays[r] for r in filler_ranks]
+    registers.insert(voter, np.asarray(psi, dtype=complex))
+    ket_in = reduce(np.kron, [rays[0], *registers])
+    ideal = reduce(np.kron, [psi, *registers])
+    return abs(np.vdot(ideal, unitary @ ket_in)) ** 2
+
+
+# no_cloning_scan(BallotSpace(3), trials=300, seed=seed, m=m) as
+# (min_theta, min_fidelity, basis_like_count, nonbasis_strictly_below),
+# keyed by (m, seed); frozen from the scan that drew one angle per
+# rng.uniform call and simulated the circuit once per state.
+NO_CLONING_SCAN_REPORTS = {
+    (2, 0): (0.7853554749002305, 0.5000000027334615, 1, True),
+    (2, 1): (0.785958043489682, 0.5000004701985274, 0, True),
+    (3, 0): (0.7853554749002305, 0.5000000027334615, 1, True),
+    (3, 1): (0.785958043489682, 0.5000004701985274, 0, True),
+}
+
 
 IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)

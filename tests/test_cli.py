@@ -199,6 +199,16 @@ def test_clone_test_without_an_angle_exits_two():
     assert proc.stderr == "error: --theta lists no angle: ','\n"
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "0.1,nan", "0.2,-inf"])
+def test_clone_test_refuses_a_non_finite_angle(theta, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr(cli, "cloning_fidelities", refuse)
+    assert run_main(capsys, "clone-test", "--theta", theta) == (
+        2, "", f"error: --theta lists a non-finite angle: {theta!r}\n")
+
+
 @pytest.mark.parametrize("flags", [("--alternatives", "-1"), ("--voters", "0")])
 def test_clone_test_empty_electorate_exits_two(flags):
     proc = run_cli("clone-test", *flags)
@@ -588,6 +598,14 @@ def test_output_flag_writes_file(tmp_path):
     assert proc.stdout == ""
     on_disk = json.loads(out.read_text())
     assert on_disk["subcommand"] == "energy"
+
+
+def test_an_output_path_that_cannot_be_opened_exits_two(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_main(capsys, "energy", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err and not path.parent.exists()
 
 
 def test_output_file_holds_the_stdout_bytes(monkeypatch, capsys, tmp_path):

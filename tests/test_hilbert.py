@@ -12,6 +12,7 @@ from arrowq.hilbert import (
     UnitaryCircuit,
     ballot_state,
     basis_state,
+    cloning_fidelities,
     cloning_fidelity,
     decompose_ballot_pairwise,
     discover_orthonormal_bases,
@@ -211,6 +212,80 @@ def test_fidelities_on_one_circuit_scan_the_domain_once(monkeypatch):
         cloning_fidelity(circ, 1, PureState(amps, 6))
     assert scans == [(2, 3)]
     assert circ.copied_voters == {1}
+
+
+def _random_states(rng, count, d):
+    psi = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
+    return psi / np.linalg.norm(psi, axis=1)[:, None]
+
+
+def _check_against_the_dense_circuit(circuit, voter, psi, filler_ranks):
+    n, d, m = circuit.space.n, circuit.space.d, circuit.registers - 1
+    fillers = [oracles.all_rankings(n)[r] for r in filler_ranks]
+    batched = cloning_fidelities(circuit, voter, psi, fillers)
+    looped = [cloning_fidelity(circuit, voter, PureState(row, d), fillers) for row in psi]
+    dense = [oracles.dense_cloning_fidelity(circuit.perm, d, m, voter, row, filler_ranks)
+             for row in psi]
+    assert batched.shape == (len(psi),)
+    assert np.abs(batched - dense).max() <= 1e-12
+    assert np.abs(batched - looped).max() <= 1e-12
+    return batched
+
+
+@pytest.mark.parametrize("n, d, m", [(3, None, 1), (3, None, 2), (3, None, 3),
+                                     (3, 8, 1), (3, 8, 2), (2, 3, 3)])
+def test_batched_fidelities_match_the_dense_circuit(n, d, m):
+    rng = np.random.default_rng(100 * n + 10 * m + (d or 0))
+    space = BallotSpace(n, d)
+    psi = np.vstack([_random_states(rng, 8, space.d), np.eye(space.d)])
+    for voter in range(m):
+        circuit = lift_rule_to_unitary(space, projection_rule(m, n, voter))
+        filler_ranks = rng.integers(space.ballots, size=m - 1).tolist()
+        fidelities = _check_against_the_dense_circuit(circuit, voter, psi, filler_ranks)
+        assert (fidelities[-space.d:][:space.ballots] == 1.0).all()
+
+
+def test_batched_fidelities_drop_targets_off_the_swept_line():
+    # voter values 6 and 7 are no ballot, so the circuit may swap those
+    # inputs' images with those of (value, 7), off the swept line of filler
+    # 2, without changing what it does on ballot profiles
+    space, m, voter, filler = BallotSpace(3, 8), 2, 0, 2
+    lifted = lift_rule_to_unitary(space, projection_rule(m, 3, voter))
+    perm = lifted.perm.copy()
+    for value in (6, 7):
+        on_line, off_line = value * 8 + filler, value * 8 + 7
+        perm[[on_line, off_line]] = perm[[off_line, on_line]]
+    circuit = UnitaryCircuit(space, m + 1, perm)
+    assert circuit.copied_voters == lifted.copied_voters == {voter}
+    psi = _random_states(np.random.default_rng(7), 8, 8)
+    moved = _check_against_the_dense_circuit(circuit, voter, psi, [filler])
+    kept = cloning_fidelities(lifted, voter, psi, [oracles.all_rankings(3)[filler]])
+    assert np.abs(moved - kept).min() > 1e-6
+
+
+@pytest.mark.parametrize(
+    "amplitudes, message",
+    [
+        (np.ones(6) / np.sqrt(6), "rows of 6 entries"),
+        (np.ones((2, 5)) / np.sqrt(5), "rows of 6 entries"),
+        (np.vstack([np.eye(6)[0], np.ones(6)]), "not normalized"),
+        (np.vstack([np.eye(6)[0], np.full(6, np.nan)]), "not normalized"),
+    ],
+    ids=["one-dimensional", "short-rows", "long-row", "nan-row"],
+)
+def test_batched_fidelities_check_shape_and_row_norms(amplitudes, message):
+    circ = lift_rule_to_unitary(SPACE, projection_rule(2, 3, 0))
+    with pytest.raises(ValueError, match=message):
+        cloning_fidelities(circ, 0, amplitudes)
+
+
+@pytest.mark.parametrize("m, seed", sorted(oracles.NO_CLONING_SCAN_REPORTS))
+def test_no_cloning_scan_reproduces_the_frozen_reports(m, seed):
+    report = no_cloning_scan(SPACE, trials=300, seed=seed, m=m)
+    got = (report.min_theta, report.min_fidelity, report.basis_like_count,
+           report.nonbasis_strictly_below)
+    assert got == oracles.NO_CLONING_SCAN_REPORTS[m, seed]
+    assert (report.trials, report.seed) == (300, seed)
 
 
 def test_no_cloning_scan_finds_the_half_floor():
