@@ -9,7 +9,6 @@ from .orders import (
     alternative_pairs,
     enumerate_orders,
     order_rank,
-    order_unrank,
     prefers,
     reverse_order,
     validate_order,
@@ -49,7 +48,6 @@ from .hilbert import (
     basis_state,
     cloning_fidelities,
     cloning_fidelity,
-    decompose_ballot_pairwise,
     discover_orthonormal_bases,
     is_dictatorial_circuit,
     ks_instance_from_json_dict,

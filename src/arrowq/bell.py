@@ -16,6 +16,7 @@ singular values of T (R., P. & M. Horodecki, Phys. Lett. A 200, 340, 1995).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from math import hypot, sqrt
@@ -177,8 +178,6 @@ def classical_bound(expression: str) -> tuple[float, float]:
                     - (1 + alpha[0]) / 2.0
                     - (1 + beta[0]) / 2.0
                 )
-            elif expr == "correlator":
-                val = alpha[0] * beta[0]
             else:
                 raise ValueError(f"unknown expression {expression!r}")
             lo, hi = min(lo, val), max(hi, val)
@@ -218,16 +217,6 @@ class BallotEmbedding:
     def embed(self, ballot: LinearOrder) -> tuple[int, int]:
         """(axis index 0..2, sign +-1) for one ballot."""
         return self.assignment[tuple(ballot)]
-
-    def ballot_for(self, axis: int, sign: int) -> LinearOrder:
-        for ballot, (k, s) in self.assignment.items():
-            if (k, s) == (axis, sign):
-                return ballot
-        raise KeyError((axis, sign))
-
-    def signed_axis(self, ballot: LinearOrder) -> np.ndarray:
-        k, s = self.embed(ballot)
-        return s * self.axes[k]
 
 
 def default_embedding(axes=None) -> BallotEmbedding:
@@ -295,7 +284,8 @@ def arrow_scenario_table(
     embedded outcome sign, conditioned on each axis pair.
 
     distribution maps profile index (all_profiles order) to weight; the
-    default is uniform.  Weights must be nonnegative and sum to 1.
+    default is uniform.  Indices must be integers, and weights finite,
+    nonnegative and summing to 1.
     """
     m, n = rule.voters, rule.alternatives
     if n != 3:
@@ -310,14 +300,16 @@ def arrow_scenario_table(
     weights = np.full(total, 1.0 / total)
     if distribution is not None:
         weights = np.zeros(total)
-        items = distribution.items() if hasattr(distribution, "items") else enumerate(distribution)
-        for idx, w in items:
-            idx = int(idx)
+        for idx, w in distribution.items():
+            try:
+                idx = operator.index(idx)  # int() would truncate 1.7 to profile 1
+            except TypeError:
+                raise ValueError(f"profile index {idx!r} is not an integer") from None
             if not 0 <= idx < total:
                 raise ValueError(f"profile index {idx} out of range")
             weights[idx] = float(w)
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError("distribution must be nonnegative and sum to 1")
+        if not np.isfinite(weights).all() or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+            raise ValueError("distribution must be finite, nonnegative and sum to 1")
 
     used = weights > 0
     outcomes = rule.outcome_ranks[used]

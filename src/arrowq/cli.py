@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", default="-", help="report path, - for stdout")
-        p.add_argument("--json", action="store_true", help="no-op; JSON is the only format")
         p.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
         p.add_argument("--timing", action="store_true", help="embed wall time in the report")
 

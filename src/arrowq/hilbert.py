@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._guards import amplitudes_to_json, check_guard, json_amplitudes, json_ints
-from .orders import LinearOrder, alternative_pairs, order_rank, prefers, validate_order
+from .orders import LinearOrder, order_rank, validate_order
 from .social_choice import VotingRule, classical_circuit_table, profile_domain, projection_rule
 
 NORM_TOL = 1e-10
@@ -68,34 +68,12 @@ class PureState:
         if not isclose(float(np.linalg.norm(amps)), 1.0, abs_tol=NORM_TOL):
             raise ValueError("state is not normalized")
 
-    def inner(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def tensor(self, other: "PureState") -> "PureState":
-        if other.dim != self.dim:
-            raise ValueError("tensor factors must share the register dimension")
-        return PureState(
-            np.kron(self.amplitudes, other.amplitudes),
-            self.dim,
-            self.registers + other.registers,
-        )
-
-    def equal_up_to_phase(self, other: "PureState", tol: float = NORM_TOL) -> bool:
-        """True iff the states differ by a unit-modulus scalar."""
-        if self.amplitudes.shape != other.amplitudes.shape:
-            return False
-        return abs(abs(self.inner(other)) - 1.0) <= tol
-
-    def basis_index(self, tol: float = NORM_TOL) -> Optional[int]:
-        """Index of the basis ray the state lies on, None if in superposition."""
-        k = int(np.argmax(np.abs(self.amplitudes)))
-        if abs(abs(self.amplitudes[k]) - 1.0) <= tol:
-            return k
-        return None
-
 
 def basis_state(dim: int, index: int, registers: int = 1) -> PureState:
-    amps = np.zeros(dim ** registers, dtype=complex)
+    size = dim ** registers
+    if not 0 <= index < size:  # numpy would wrap -1 to the last ray
+        raise ValueError(f"basis index {index} out of range 0..{size - 1}")
+    amps = np.zeros(size, dtype=complex)
     amps[index] = 1.0
     return PureState(amps, dim, registers)
 
@@ -155,13 +133,6 @@ class UnitaryCircuit:
         flat = domain.flat_index(d)
         copies = (self.perm[flat] - flat)[:, None] == domain.ballot_ranks * d ** m
         return frozenset(np.flatnonzero(copies.all(axis=0)).tolist())
-
-    def apply(self, state: PureState) -> PureState:
-        if state.dim != self.space.d or state.registers != self.registers:
-            raise ValueError("state does not match the circuit registers")
-        out = np.empty_like(state.amplitudes)
-        out[self.perm] = state.amplitudes
-        return PureState(out, state.dim, state.registers)
 
 
 def lift_rule_to_unitary(space: BallotSpace, rule: VotingRule) -> UnitaryCircuit:
@@ -408,13 +379,3 @@ def ks_instance_from_rule(rule: VotingRule, profile) -> KSInstance:
     outcome_rank = order_rank(rule.outcome(tuple(tuple(b) for b in profile)))
     coloring = tuple(1 if i == outcome_rank else 0 for i in range(nb))
     return KSInstance(nb, np.eye(nb, dtype=complex), (tuple(range(nb)),), coloring)
-
-
-# ---- pairwise decomposition ----
-
-def decompose_ballot_pairwise(order: LinearOrder) -> tuple[int, ...]:
-    """Bit per alternative pair (a, b), a < b, lexicographic: 1 iff the
-    ballot ranks a above b.  Injective on linear orders."""
-    order = validate_order(order)
-    n = len(order)
-    return tuple(int(prefers(order, a, b)) for a, b in alternative_pairs(n))

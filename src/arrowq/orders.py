@@ -52,19 +52,6 @@ def order_rank(order: Sequence[int]) -> int:
     return rank
 
 
-def order_unrank(rank: int, n: int) -> LinearOrder:
-    """Inverse of order_rank for permutations of 0..n-1."""
-    if not 0 <= rank < math.factorial(n):
-        raise ValueError(f"rank {rank} out of range for n={n}")
-    remaining = list(range(n))
-    ranking = []
-    for i in range(n):
-        block = math.factorial(n - 1 - i)
-        idx, rank = divmod(rank, block)
-        ranking.append(remaining.pop(idx))
-    return tuple(ranking)
-
-
 def prefers(order: Sequence[int], a: int, b: int) -> bool:
     """True iff the ranking places alternative a above alternative b."""
     ranking = tuple(order)

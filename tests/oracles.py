@@ -8,6 +8,7 @@ functions.
 
 from functools import reduce
 from itertools import permutations, product
+from math import factorial
 
 import numpy as np
 
@@ -22,6 +23,33 @@ def ranks_above(ranking, a, b):
 
 def unordered_pairs(n):
     return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+def decompose(order):
+    """Bit per pair (a, b), a < b, lexicographic: 1 iff the ballot ranks a
+    above b; the pair bits that ProfileDomain.ballot_bits holds per ballot."""
+    n = len(order)
+    return tuple(int(order.index(a) < order.index(b)) for a, b in unordered_pairs(n))
+
+
+def unrank(rank, n):
+    """The ranking of lexicographic rank `rank` among permutations of
+    0..n-1, read off the factorial-base digits of the rank."""
+    remaining = list(range(n))
+    ranking = []
+    for i in range(n):
+        block = factorial(n - 1 - i)
+        idx, rank = divmod(rank, block)
+        ranking.append(remaining.pop(idx))
+    return tuple(ranking)
+
+
+def apply_permutation(perm, amplitudes):
+    """The state a permutation circuit (perm[i] = j sends basis state i to
+    basis state j) makes of a flat amplitude vector."""
+    out = np.empty_like(amplitudes)
+    out[perm] = amplitudes
+    return out
 
 
 def tournament_is_acyclic(bits, n):

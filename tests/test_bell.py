@@ -1,5 +1,5 @@
 import json
-from math import cos, pi, sin, sqrt
+from math import cos, inf, nan, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -140,12 +140,12 @@ def test_chsh_never_exceeds_tsirelson_on_product_states():
 def test_classical_bounds_exact():
     assert classical_bound("chsh") == (-2.0, 2.0)
     assert classical_bound("ch") == (-1.0, 0.0)
-    assert classical_bound("correlator") == (-1.0, 1.0)
 
 
 def test_classical_bound_guard_and_errors():
-    with pytest.raises(ValueError):
-        classical_bound("nope")
+    for expression in ("nope", "correlator"):
+        with pytest.raises(ValueError, match="unknown expression"):
+            classical_bound(expression)
 
 
 def test_deterministic_strategies_hit_ch_endpoints():
@@ -173,9 +173,10 @@ def test_embedding_reversal_flips_sign_keeps_axis():
 
 def test_embedding_round_trip():
     emb = default_embedding()
+    ballot_for = {target: ballot for ballot, target in emb.assignment.items()}
+    assert len(ballot_for) == 6
     for ballot in enumerate_orders(3):
-        k, s = emb.embed(ballot)
-        assert emb.ballot_for(k, s) == ballot
+        assert ballot_for[emb.embed(ballot)] == ballot
 
 
 def test_embedding_rejects_broken_assignments():
@@ -191,8 +192,8 @@ def test_embedding_rejects_broken_assignments():
 def test_embedding_custom_axes():
     axes = (Z, X, np.array([0.0, 1.0, 0.0]))
     emb = default_embedding(axes)
-    k, s = emb.embed((0, 1, 2))
-    assert np.allclose(emb.signed_axis((0, 1, 2)), s * axes[k])
+    k, s = emb.embed((0, 1, 2))  # axis 1, sign +
+    assert np.array_equal(s * emb.axes[k], X)
 
 
 # ---- watched-voter tables ----
@@ -236,6 +237,16 @@ def test_distribution_validation():
         arrow_scenario_table(rule, distribution={0: 0.5})
     with pytest.raises(ValueError):
         arrow_scenario_table(rule, distribution={99: 1.0})
+    # NaN compares false against every bound, so it needs its own check
+    for bad in ({0: nan, 1: 1.0}, {0: inf}, {0: -inf, 1: 1.0}):
+        with pytest.raises(ValueError, match="finite"):
+            arrow_scenario_table(rule, distribution=bad)
+    # a float or string key would be truncated or parsed to another profile
+    for key in (1.7, "1"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            arrow_scenario_table(rule, distribution={key: 1.0})
+    point = arrow_scenario_table(rule, distribution={np.int64(14): 1.0}, watched=1)
+    assert point.weights.sum() == 1.0
     with pytest.raises(ValueError):
         arrow_scenario_table(projection_rule(2, 4, 0))
 

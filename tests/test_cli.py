@@ -646,9 +646,11 @@ def test_seed_is_echoed_in_config():
     assert report["config"]["seed"] == 3
 
 
-def test_json_flag_is_accepted():
+def test_json_flag_is_refused():
+    # JSON is the only format, so the flag that asked for it is gone
     proc = run_cli("energy", "--json")
-    assert proc.returncode == 0
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "unrecognized arguments: --json" in proc.stderr
 
 
 # ---- report writer and parser reuse ----

@@ -14,7 +14,6 @@ from arrowq.hilbert import (
     basis_state,
     cloning_fidelities,
     cloning_fidelity,
-    decompose_ballot_pairwise,
     discover_orthonormal_bases,
     is_dictatorial_circuit,
     ks_instance_from_json_dict,
@@ -24,7 +23,7 @@ from arrowq.hilbert import (
     superpose,
     verify_ks_coloring,
 )
-from arrowq.orders import enumerate_orders
+from arrowq.orders import enumerate_orders, order_rank
 from arrowq.social_choice import (
     all_profiles,
     enumerate_fair_rules,
@@ -51,10 +50,18 @@ def test_ballot_space_defaults_and_validation():
 def test_ballot_states_are_orthonormal_basis_rays():
     e0 = ballot_state(SPACE, (0, 1, 2))
     e5 = ballot_state(SPACE, (2, 1, 0))
-    assert e0.basis_index() == 0
-    assert e5.basis_index() == 5
-    assert e0.inner(e5) == 0
-    assert abs(e0.inner(e0) - 1) < 1e-15
+    assert np.flatnonzero(e0.amplitudes).tolist() == [0]
+    assert np.flatnonzero(e5.amplitudes).tolist() == [5]
+    assert np.vdot(e0.amplitudes, e5.amplitudes) == 0
+    assert abs(np.vdot(e0.amplitudes, e0.amplitudes) - 1) < 1e-15
+
+
+def test_basis_state_index_range():
+    for index in (0, 35):
+        assert np.flatnonzero(basis_state(6, index, registers=2).amplitudes).tolist() == [index]
+    for index in (-1, 36):  # numpy alone would wrap -1 to |35>
+        with pytest.raises(ValueError, match=rf"^basis index {index} out of range 0\.\.35$"):
+            basis_state(6, index, registers=2)
 
 
 def test_pure_state_rejects_unnormalized():
@@ -69,30 +76,33 @@ def test_superpose_examples():
     plus = superpose([e0, e1], [1, 1])
     assert np.allclose(plus.amplitudes[:2], [2 ** -0.5, 2 ** -0.5])
     same = superpose([e0], [7])
-    assert same.equal_up_to_phase(e0)
+    assert abs(abs(np.vdot(same.amplitudes, e0.amplitudes)) - 1) < 1e-12
     with pytest.raises(ValueError):
         superpose([e0, e0], [1, -1])
 
 
 def test_equal_up_to_phase():
-    e0 = basis_state(2, 0)
-    rotated = PureState(np.exp(1j * 0.7) * e0.amplitudes, 2)
-    assert e0.equal_up_to_phase(rotated)
-    assert not e0.equal_up_to_phase(basis_state(2, 1))
+    # a global phase leaves the ray, and so its clone, unchanged
+    e0 = basis_state(6, 0)
+    rotated = PureState(np.exp(1j * 0.7) * e0.amplitudes, 6)
+    assert abs(abs(np.vdot(e0.amplitudes, rotated.amplitudes)) - 1) < 1e-12
+    assert np.vdot(e0.amplitudes, basis_state(6, 1).amplitudes) == 0
+    circ = lift_rule_to_unitary(SPACE, projection_rule(2, 3, 0))
+    assert abs(cloning_fidelity(circ, 0, rotated) - 1) < 1e-12
 
 
 @given(st.floats(min_value=0.05, max_value=pi / 2 - 0.05))
 def test_two_ballot_superpositions_are_never_basis_rays(theta):
     amps = np.zeros(6, dtype=complex)
     amps[0], amps[1] = cos(theta), sin(theta)
-    assert PureState(amps, 6).basis_index() is None
+    assert no_cloning_scan(SPACE, states=[PureState(amps, 6)]).basis_like_count == 0
 
 
 def test_tensor_product_dimensions():
-    e0 = basis_state(6, 0)
-    pair = e0.tensor(basis_state(6, 3))
-    assert pair.registers == 2
-    assert pair.basis_index() == 3
+    pair = basis_state(6, 3, registers=2)
+    assert pair.registers == 2 and pair.amplitudes.shape == (36,)
+    assert np.array_equal(
+        pair.amplitudes, np.kron(basis_state(6, 0).amplitudes, basis_state(6, 3).amplitudes))
 
 
 # ---- lifted circuits ----
@@ -125,11 +135,25 @@ def test_lift_linearity_entangles_superposed_ballot():
     amps = np.zeros(216, dtype=complex)
     amps[0 * 36 + 0 * 6 + 2] = 2 ** -0.5  # |0>|b0>|b2>
     amps[0 * 36 + 1 * 6 + 2] = 2 ** -0.5  # |0>|b1>|b2>
-    out = circ.apply(PureState(amps, 6, 3))
+    out = oracles.apply_permutation(circ.perm, amps)
     expected = np.zeros(216, dtype=complex)
     expected[0 * 36 + 0 * 6 + 2] = 2 ** -0.5
     expected[1 * 36 + 1 * 6 + 2] = 2 ** -0.5
-    assert np.allclose(out.amplitudes, expected)
+    assert np.allclose(out, expected)
+
+
+def test_permutation_oracle_matches_cloning_fidelities():
+    # the overlap of the permuted input with the ideal clone is the batched fidelity
+    space, voter, filler = BallotSpace(3, 8), 1, 4
+    circuit = lift_rule_to_unitary(space, projection_rule(2, 3, voter))
+    psi = _random_states(np.random.default_rng(5), 6, space.d)
+    fidelities = cloning_fidelities(circuit, voter, psi, [oracles.all_rankings(3)[filler]])
+    ray = np.eye(space.d)
+    for row, fidelity in zip(psi, fidelities):
+        out = oracles.apply_permutation(circuit.perm, np.kron(ray[0], np.kron(ray[filler], row)))
+        ideal = np.kron(row, np.kron(ray[filler], row))
+        assert abs(abs(np.vdot(ideal, out)) ** 2 - fidelity) <= 1e-12
+    assert fidelities.min() < 1 - 1e-6
 
 
 def test_lift_size_guard(monkeypatch):
@@ -410,21 +434,22 @@ def test_discover_orthonormal_bases():
     assert discover_orthonormal_bases(vecs) == [(0, 1), (2, 3)]
 
 
-# ---- pairwise decomposition ----
+# ---- pairwise decomposition: one row of ballot bits per ballot ----
 
 def test_decompose_examples():
-    assert decompose_ballot_pairwise((0, 1, 2)) == (1, 1, 1)
-    assert decompose_ballot_pairwise((2, 1, 0)) == (0, 0, 0)
+    bits = profile_domain(1, 3).ballot_bits
+    assert bits[order_rank((0, 1, 2))].tolist() == [1, 1, 1]
+    assert bits[order_rank((2, 1, 0))].tolist() == [0, 0, 0]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_decompose_injective(n):
-    images = {decompose_ballot_pairwise(o) for o in enumerate_orders(n)}
+    images = {tuple(row) for row in profile_domain(1, n).ballot_bits.tolist()}
     assert len(images) == len(enumerate_orders(n))
 
 
 def test_decompose_misses_exactly_the_two_cycles_at_n3():
-    images = {decompose_ballot_pairwise(o) for o in enumerate_orders(3)}
+    images = {tuple(map(int, row)) for row in profile_domain(1, 3).ballot_bits}
     missing = {(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)} - images
     assert missing == {(1, 0, 1), (0, 1, 0)}
     for bits in missing:

@@ -72,11 +72,12 @@ def test_pair_input_bits():
 
 
 def test_order_from_pair_bits_roundtrip():
-    from arrowq.hilbert import decompose_ballot_pairwise
-
-    for n in (2, 3, 4):
+    for n in range(1, 7):
+        bits = profile_domain(1, n).ballot_bits
         for order in enumerate_orders(n):
-            assert order_from_pair_bits(decompose_ballot_pairwise(order), n) == order
+            pair_bits = oracles.decompose(order)
+            assert pair_bits == tuple(bits[order_rank(order)].tolist())
+            assert order_from_pair_bits(pair_bits, n) == order
 
 
 def test_order_from_pair_bits_rejects_cycles():
@@ -88,8 +89,6 @@ def test_order_from_pair_bits_rejects_cycles():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_order_from_pair_bits_matches_the_cycle_oracle(n, monkeypatch):
-    from arrowq.hilbert import decompose_ballot_pairwise
-
     # the win counts decide: no pair is re-checked against the ranking
     def refuse(*args):
         raise AssertionError("prefers called")
@@ -100,7 +99,7 @@ def test_order_from_pair_bits_matches_the_cycle_oracle(n, monkeypatch):
     for bits in product((0, 1), repeat=pairs):  # 1,024 vectors at n = 5
         if oracles.tournament_is_acyclic(bits, n):
             acyclic += 1
-            assert decompose_ballot_pairwise(order_from_pair_bits(bits, n)) == bits
+            assert oracles.decompose(order_from_pair_bits(bits, n)) == bits
         else:
             with pytest.raises(IntransitiveOutcomeError):
                 order_from_pair_bits(bits, n)
