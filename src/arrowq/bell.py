@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass
 from itertools import product
 from math import hypot, sqrt
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -284,8 +285,8 @@ def arrow_scenario_table(
     embedded outcome sign, conditioned on each axis pair.
 
     distribution maps profile index (all_profiles order) to weight; the
-    default is uniform.  Indices must be integers, and weights finite,
-    nonnegative and summing to 1.
+    default is uniform.  Indices must be integers, and weights real numbers
+    (not bools or strings), finite, nonnegative and summing to 1.
     """
     m, n = rule.voters, rule.alternatives
     if n != 3:
@@ -307,7 +308,13 @@ def arrow_scenario_table(
                 raise ValueError(f"profile index {idx!r} is not an integer") from None
             if not 0 <= idx < total:
                 raise ValueError(f"profile index {idx} out of range")
-            weights[idx] = float(w)
+            if not isinstance(w, Real) or isinstance(w, bool):  # float() parses "1.0" and True
+                raise ValueError(f"weight {w!r} of profile {idx} is not a real number")
+            try:
+                weights[idx] = w
+            except OverflowError:
+                raise ValueError(f"weight of profile {idx} must be finite, got an int "
+                                 "past the float range") from None
         if not np.isfinite(weights).all() or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("distribution must be finite, nonnegative and sum to 1")
 

@@ -24,7 +24,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._guards import check_guard, check_power_guard, json_ints
+from ._guards import check_guard, check_power_guard, json_int_lists, json_ints
 from .orders import (
     MAX_ALTERNATIVES,
     LinearOrder,
@@ -322,10 +322,14 @@ def check_iia(rule: VotingRule):
     by q, where two decided profiles agree on the pair's restriction but
     the outcomes do not.
 
-    Pairwise rules satisfy IIA by construction.  Profiles are grouped on
-    their per-pair voter vectors, so the scan is linear in the profile
-    count rather than quadratic.
+    A pairwise rule holds in closed form: at every profile it decides, its
+    bit on pair k is tables[k][input_k], a function of the voters' vector
+    on that pair alone.  For table rules, profiles are grouped on their
+    per-pair voter vectors, so the scan is linear in the profile count
+    rather than quadratic.
     """
+    if rule.tables is not None:
+        return True, None
     domain = profile_domain(rule.voters, rule.alternatives)
     rows = np.flatnonzero(rule.outcome_ranks >= 0)
     inputs, bits = domain.pair_inputs[rows], domain.ballot_bits[rule.outcome_ranks[rows]]
@@ -670,6 +674,5 @@ def rule_from_json_dict(data: dict) -> VotingRule:
     if kind == "pairwise":
         return VotingRule(m, n, tables=tuple(json_ints(t, "a pair table") for t in entries))
     if kind == "table":
-        outs = tuple(None if out is None else json_ints(out, "an outcome") for out in entries)
-        return VotingRule(m, n, outcomes=outs)
+        return VotingRule(m, n, outcomes=json_int_lists(entries, "an outcome"))
     raise ValueError(f"unknown rule kind {kind!r}")

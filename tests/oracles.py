@@ -202,6 +202,19 @@ def first_iia_violation(outcomes, profiles, n):
     return None
 
 
+def table_rule_per_entry(m, n, entries):
+    """A table rule read one entry at a time: json_ints on every non-null
+    entry, then the VotingRule constructor, which checks the size guard,
+    the entry count and the rankings.  The package reads table documents
+    with one type scan instead; this is the reference it must agree with,
+    so it borrows only the package's one-list reader and constructor."""
+    from arrowq._guards import json_ints
+    from arrowq.social_choice import VotingRule
+
+    outcomes = tuple(None if out is None else json_ints(out, "an outcome") for out in entries)
+    return VotingRule(m, n, outcomes=outcomes)
+
+
 # ---- example rules, tabulated one profile at a time ----
 
 def tabulate(m, n, fn):

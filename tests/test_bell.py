@@ -245,8 +245,17 @@ def test_distribution_validation():
     for key in (1.7, "1"):
         with pytest.raises(ValueError, match="is not an integer"):
             arrow_scenario_table(rule, distribution={key: 1.0})
+    # float() would parse a string and read true as 1
+    for weight in ("1.0", True, np.True_):
+        with pytest.raises(ValueError, match="is not a real number"):
+            arrow_scenario_table(rule, distribution={14: weight})
+    with pytest.raises(ValueError, match="past the float range"):
+        arrow_scenario_table(rule, distribution={14: 10 ** 400})
     point = arrow_scenario_table(rule, distribution={np.int64(14): 1.0}, watched=1)
     assert point.weights.sum() == 1.0
+    for weight in (np.float64(1.0), np.int64(1), 1):
+        table = arrow_scenario_table(rule, distribution={14: weight}, watched=1)
+        assert table.weights.sum() == 1.0 and table.to_json_dict() == point.to_json_dict()
     with pytest.raises(ValueError):
         arrow_scenario_table(projection_rule(2, 4, 0))
 

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arrowq import SizeLimitError, social_choice
 from arrowq._guards import GUARD_ENV, check_power_guard, guard_multiplier
@@ -244,6 +244,20 @@ def test_iia_examples():
     assert pair_input(p, a, b) == pair_input(q, a, b)
     out_p, out_q = rule.outcome(p), rule.outcome(q)
     assert (out_p.index(a) < out_p.index(b)) != (out_q.index(a) < out_q.index(b))
+
+
+@pytest.mark.parametrize("rules", [
+    lambda: enumerate_fair_rules(2, 3),
+    lambda: enumerate_fair_rules(3, 3),
+    lambda: [pairwise_majority_rule(3, 3)],  # cycles on some profiles
+    lambda: [pairwise_majority_rule(3, 4)],
+], ids=["fair-23", "fair-33", "majority-33", "majority-34"])
+def test_pairwise_iia_in_closed_form_matches_the_table_scan(rules):
+    for rule in rules():
+        table = rule.as_table()
+        witness = oracles.first_iia_violation(
+            table.outcomes, list(all_profiles(rule.voters, rule.alternatives)), rule.alternatives)
+        assert check_iia(rule) == check_iia(table) == (witness is None, witness)
 
 
 def test_iia_witness_matches_quadratic_oracle():
@@ -684,6 +698,53 @@ def test_table_rule_rejects_a_non_ranking_entry(bad):
     data = {"voters": 2, "alternatives": 3, "kind": "table", "entries": outcomes}
     with pytest.raises(ValueError, match=message):
         rule_from_json_dict(data)
+
+
+# (3,3) table documents with bad values anywhere in their 216 entries
+_LEAVES = [True, 1.0, "1", None, 10 ** 400]
+_ENTRIES = [5, [], [0, 1], [0, 0, 1], [0, 1, 3], None]
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("leaf"), st.integers(0, 215), st.integers(0, 2), st.sampled_from(_LEAVES)),
+    st.tuples(st.just("entry"), st.integers(0, 215), st.just(0), st.sampled_from(_ENTRIES)),
+    st.tuples(st.just("drop"), st.integers(0, 215), st.just(0), st.none()),
+    st.tuples(st.just("voters"), st.just(0), st.just(0), st.sampled_from([2, 63, 10 ** 7, 10 ** 400])),
+)
+
+
+def _mutated_table_doc(voter, mutations):
+    data = rule_to_json_dict(projection_rule(3, 3, voter).as_table())
+    entries = data["entries"]
+    for kind, j, i, value in mutations:
+        row = entries[j % len(entries)]
+        if kind == "leaf" and type(row) is list and row:
+            row[i % len(row)] = value
+        elif kind == "entry":
+            entries[j % len(entries)] = list(value) if type(value) is list else value
+        elif kind == "drop":
+            del entries[j % len(entries)]
+        elif kind == "voters":
+            data["voters"] = value
+    return data
+
+
+def _read(reader, *args):
+    try:
+        return reader(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2), st.lists(_MUTATIONS, max_size=4))
+@example(0, [("entry", 3, 0, [0, 0, 1]), ("leaf", 215, 2, True)])
+@example(1, [("voters", 0, 0, 10 ** 400), ("leaf", 200, 0, "1")])
+@example(2, [("entry", 7, 0, None), ("voters", 0, 0, 2), ("entry", 9, 0, [0, 1, 3])])
+@example(2, [("entry", 214, 0, 5), ("leaf", 215, 1, 10 ** 400)])
+def test_table_reader_matches_the_per_entry_reader(voter, mutations):
+    # entry types, then the size guard, then the entry count, then the ranking
+    data = _mutated_table_doc(voter, mutations)
+    want = _read(oracles.table_rule_per_entry, data["voters"], 3, data["entries"])
+    assert _read(rule_from_json_dict, data) == want
 
 
 @pytest.mark.parametrize(
