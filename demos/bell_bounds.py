@@ -7,15 +7,12 @@ measurement directions."""
 from math import sqrt
 
 from arrowq import (
-    arrow_scenario_table,
     ch_value,
     chsh_optimal_axes,
     chsh_value,
     classical_bound,
     default_embedding,
-    enumerate_fair_rules,
     enumerate_orders,
-    find_dictator,
     maximize_violation,
     singlet_state,
 )
@@ -43,13 +40,3 @@ print("ballot -> signed measurement axis:")
 for ballot in enumerate_orders(3):
     axis, sign = emb.embed(ballot)
     print(f"  {ballot} -> axis {axis}, sign {sign:+d}")
-print()
-
-print("watched-voter correlations under a uniform ballot distribution:")
-for rule in enumerate_fair_rules(2, 3):
-    dictator = find_dictator(rule)
-    table = arrow_scenario_table(rule, watched=dictator)
-    diag = [table.entry(k, k) for k in range(3)]
-    print(f"  dictator {dictator} watched: diagonal correlations {diag}")
-table = arrow_scenario_table(enumerate_fair_rules(2, 3)[0], watched=0)
-print(f"  non-dictator watched: E(0, 0) = {table.entry(0, 0)}")

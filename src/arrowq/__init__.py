@@ -31,7 +31,6 @@ from .social_choice import (
     constant_rule,
     enumerate_fair_rules,
     find_dictator,
-    order_from_pair_bits,
     pairwise_majority_rule,
     projection_rule,
     rule_from_json_dict,
@@ -59,10 +58,8 @@ from .hilbert import (
 )
 from .bell import (
     BallotEmbedding,
-    CorrelationTable,
     InequalityResult,
     TwoPartyScenario,
-    arrow_scenario_table,
     ch_value,
     chsh_optimal_axes,
     chsh_value,

@@ -1,9 +1,8 @@
 """Two-party spin correlation experiments built around voting: the
 six-ballot spin-1/2 embedding for three alternatives, CHSH and CH
 inequality values on shared two-qubit states, exact classical bounds by
-enumerating local deterministic strategies, correlation tables for a
-watched-voter vs outcome scenario, and the closed-form maximal quantum
-violation.
+enumerating local deterministic strategies, and the closed-form maximal
+quantum violation.
 
 Axis convention: measurement directions are unit 3-vectors; each party's
 observable is the spin projection axis . sigma with outcomes +1/-1.
@@ -16,11 +15,9 @@ singular values of T (R., P. & M. Horodecki, Phys. Lett. A 200, 340, 1995).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 from math import hypot, sqrt
-from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -28,7 +25,6 @@ import numpy as np
 from ._guards import amplitudes_to_json, json_amplitudes, json_floats
 from .hilbert import PureState
 from .orders import LinearOrder, enumerate_orders, reverse_order
-from .social_choice import VotingRule, profile_domain
 
 AXIS_TOL = 1e-12
 VIOLATION_TOL = 1e-9
@@ -242,100 +238,6 @@ def default_embedding(axes=None) -> BallotEmbedding:
         (0, 2, 1): (2, -1),
     }
     return BallotEmbedding(tuple(axes), assignment)
-
-
-# ---- watched-voter correlation tables ----
-
-@dataclass(frozen=True, eq=False)
-class CorrelationTable:
-    """Per-axis-pair correlations between a watched voter and the outcome.
-
-    entries are conditional on the axis pair occurring; pairs with zero
-    weight are absent (NaN) rather than zero.
-    """
-
-    E: np.ndarray
-    alice_plus: np.ndarray
-    bob_plus: np.ndarray
-    weights: np.ndarray
-
-    def entry(self, i: int, j: int) -> Optional[float]:
-        v = float(self.E[i, j])
-        return None if np.isnan(v) else v
-
-    def to_json_dict(self) -> dict:
-        def cell(v):
-            return None if np.isnan(v) else float(v)
-
-        return {
-            "E": [[cell(v) for v in row] for row in self.E],
-            "alice_plus": [cell(v) for v in self.alice_plus],
-            "bob_plus": [cell(v) for v in self.bob_plus],
-            "weights": [[float(v) for v in row] for row in self.weights],
-        }
-
-
-def arrow_scenario_table(
-    rule: VotingRule,
-    distribution=None,
-    embedding: Optional[BallotEmbedding] = None,
-    watched: int = 0,
-) -> CorrelationTable:
-    """Correlations between the watched voter's embedded ballot sign and the
-    embedded outcome sign, conditioned on each axis pair.
-
-    distribution maps profile index (all_profiles order) to weight; the
-    default is uniform.  Indices must be integers, and weights real numbers
-    (not bools or strings), finite, nonnegative and summing to 1.
-    """
-    m, n = rule.voters, rule.alternatives
-    if n != 3:
-        raise ValueError("the six-ballot embedding needs exactly 3 alternatives")
-    if not 0 <= watched < m:
-        raise ValueError(f"watched voter {watched} out of range")
-    if embedding is None:
-        embedding = default_embedding()
-
-    domain = profile_domain(m, n)
-    total = len(domain.ballot_ranks)
-    weights = np.full(total, 1.0 / total)
-    if distribution is not None:
-        weights = np.zeros(total)
-        for idx, w in distribution.items():
-            try:
-                idx = operator.index(idx)  # int() would truncate 1.7 to profile 1
-            except TypeError:
-                raise ValueError(f"profile index {idx!r} is not an integer") from None
-            if not 0 <= idx < total:
-                raise ValueError(f"profile index {idx} out of range")
-            if not isinstance(w, Real) or isinstance(w, bool):  # float() parses "1.0" and True
-                raise ValueError(f"weight {w!r} of profile {idx} is not a real number")
-            try:
-                weights[idx] = w
-            except OverflowError:
-                raise ValueError(f"weight of profile {idx} must be finite, got an int "
-                                 "past the float range") from None
-        if not np.isfinite(weights).all() or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
-            raise ValueError("distribution must be finite, nonnegative and sum to 1")
-
-    used = weights > 0
-    outcomes = rule.outcome_ranks[used]
-    if (outcomes < 0).any():
-        raise ValueError("distribution weighs a profile outside the rule's domain")
-    # (axis, sign) per ballot rank; bincount adds in profile order
-    embedded = np.array([embedding.embed(b) for b in enumerate_orders(3)])
-    (ka, sa), (kb, sb) = embedded[domain.ballot_ranks[used, watched]].T, embedded[outcomes].T
-    w = weights[used]
-    w_joint = np.bincount(3 * ka + kb, w, 9).reshape(3, 3)
-    prod_sum = np.bincount(3 * ka + kb, w * sa * sb, 9).reshape(3, 3)
-    w_alice = np.bincount(ka, w, 3)
-    plus_alice = np.bincount(ka, w * (sa > 0), 3)
-    w_bob = np.bincount(kb, w, 3)
-    plus_bob = np.bincount(kb, w * (sb > 0), 3)
-
-    with np.errstate(invalid="ignore"):  # an empty cell reads 0/0 = NaN
-        E, pa, pb = prod_sum / w_joint, plus_alice / w_alice, plus_bob / w_bob
-    return CorrelationTable(E, pa, pb, w_joint)
 
 
 # ---- scenarios ----

@@ -309,6 +309,8 @@ class KSInstance:
             raise ValueError("vectors must be rows of length `dimension`")
         if len(self.coloring) != vecs.shape[0]:
             raise ValueError("coloring must assign a bit to every vector")
+        if not self.bases:  # a coloring of no basis checks nothing
+            raise ValueError("an instance must declare at least one basis")
         if any(not 0 <= i < vecs.shape[0] for basis in self.bases for i in basis):
             raise ValueError(f"basis indices must lie in 0..{vecs.shape[0] - 1}")
         if not (np.abs(np.linalg.norm(vecs, axis=1) - 1.0) <= NORM_TOL).all():  # NaN fails too

@@ -52,16 +52,6 @@ def all_profiles(m: int, n: int) -> Iterator[Profile]:
     return product(enumerate_orders(n), repeat=m)
 
 
-def profile_index(profile: Profile) -> int:
-    """Rank of a profile in the all_profiles order."""
-    n = len(profile[0])
-    base = factorial(n)
-    idx = 0
-    for ballot in profile:
-        idx = idx * base + order_rank(ballot)
-    return idx
-
-
 def pair_input(profile: Profile, a: int, b: int) -> int:
     """m-bit vector: bit i set iff voter i prefers a to b."""
     v = 0
@@ -69,25 +59,6 @@ def pair_input(profile: Profile, a: int, b: int) -> int:
         if prefers(ballot, a, b):
             v |= 1 << i
     return v
-
-
-def order_from_pair_bits(bits: Sequence[int], n: int) -> LinearOrder:
-    """Ranking encoded by pairwise bits (bit k = 1 iff a beats b for the
-    k-th pair (a, b), a < b, lexicographic).
-
-    A tournament is a linear order exactly when its win counts are
-    distinct, that is, exactly 0..n-1 (Landau, 1953); the ranking sorts
-    the alternatives by wins, and IntransitiveOutcomeError marks a cycle.
-    """
-    pairs = alternative_pairs(n)
-    if len(bits) != len(pairs):
-        raise ValueError(f"expected {len(pairs)} pair bits, got {len(bits)}")
-    wins = [0] * n
-    for bit, (a, b) in zip(bits, pairs):
-        wins[a if bit else b] += 1
-    if sorted(wins) != list(range(n)):
-        raise IntransitiveOutcomeError(f"pair bits {tuple(bits)} contain a cycle")
-    return tuple(sorted(range(n), key=lambda x: -wins[x]))
 
 
 class ProfileDomain:
@@ -196,16 +167,22 @@ class VotingRule:
     def outcome(self, profile: Profile) -> LinearOrder:
         """Collective ranking for one profile: one ranking of the
         alternatives per voter."""
-        if len(profile) != self.voters:
-            raise ValueError(f"profile has {len(profile)} ballots, expected {self.voters}")
-        profile = tuple(validate_order(ballot, self.alternatives) for ballot in profile)
+        m, n = self.voters, self.alternatives
+        if len(profile) != m:
+            raise ValueError(f"profile has {len(profile)} ballots, expected {m}")
+        profile = tuple(validate_order(ballot, n) for ballot in profile)
         if self.tables is not None:
             bits = [
                 self.tables[k][pair_input(profile, a, b)]
-                for k, (a, b) in enumerate(alternative_pairs(self.alternatives))
+                for k, (a, b) in enumerate(alternative_pairs(n))
             ]
-            return order_from_pair_bits(bits, self.alternatives)
-        out = self.outcomes[profile_index(profile)]
+            ballots = profile_domain(1, n)  # decode reads only the n! ballots
+            rank = int(ballots.decode(np.array(bits, dtype=np.int64)))
+            if rank < 0:
+                raise IntransitiveOutcomeError(f"pair bits {tuple(bits)} contain a cycle")
+            return ballots.orders[rank]
+        ranks = [order_rank(ballot) for ballot in profile]
+        out = self.outcomes[np.ravel_multi_index(ranks, (factorial(n),) * m)]
         if out is None:
             raise ValueError(f"profile {profile} is outside the rule's domain")
         return out

@@ -44,6 +44,36 @@ def unrank(rank, n):
     return tuple(ranking)
 
 
+def profile_index(profile):
+    """Rank of a profile in lexicographic order of its ballots, voter 0
+    most significant: the all_profiles order."""
+    rankings = all_rankings(len(profile[0]))
+    idx = 0
+    for ballot in profile:
+        idx = idx * len(rankings) + rankings.index(tuple(ballot))
+    return idx
+
+
+def order_from_pair_bits(bits, n):
+    """Ranking encoded by pair bits (bit k = 1 iff a beats b for the k-th
+    pair (a, b), a < b, lexicographic), read off the win counts.
+
+    A tournament is a linear order exactly when its win counts are
+    distinct, that is, exactly 0..n-1 (Landau, 1953); the ranking sorts
+    the alternatives by wins.  A cycle raises ValueError with the message
+    the package's IntransitiveOutcomeError carries.
+    """
+    pairs = unordered_pairs(n)
+    if len(bits) != len(pairs):
+        raise ValueError(f"expected {len(pairs)} pair bits, got {len(bits)}")
+    wins = [0] * n
+    for bit, (a, b) in zip(bits, pairs):
+        wins[a if bit else b] += 1
+    if sorted(wins) != list(range(n)):
+        raise ValueError(f"pair bits {tuple(bits)} contain a cycle")
+    return tuple(sorted(range(n), key=lambda x: -wins[x]))
+
+
 def apply_permutation(perm, amplitudes):
     """The state a permutation circuit (perm[i] = j sends basis state i to
     basis state j) makes of a flat amplitude vector."""

@@ -1,11 +1,10 @@
 import json
-from math import cos, inf, nan, pi, sin, sqrt
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
 
 from arrowq.bell import (
-    arrow_scenario_table,
     ch_value,
     chsh_optimal_axes,
     chsh_value,
@@ -21,7 +20,6 @@ from arrowq.bell import (
 )
 from arrowq.hilbert import PureState
 from arrowq.orders import enumerate_orders, reverse_order
-from arrowq.social_choice import enumerate_fair_rules, find_dictator, projection_rule
 
 import oracles
 
@@ -194,77 +192,6 @@ def test_embedding_custom_axes():
     emb = default_embedding(axes)
     k, s = emb.embed((0, 1, 2))  # axis 1, sign +
     assert np.array_equal(s * emb.axes[k], X)
-
-
-# ---- watched-voter tables ----
-
-def test_dictator_watched_gives_unit_diagonal():
-    for rule in enumerate_fair_rules(2, 3):
-        table = arrow_scenario_table(rule, watched=find_dictator(rule))
-        for k in range(3):
-            assert table.entry(k, k) == 1.0
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    assert table.entry(i, j) is None
-
-
-def test_non_dictator_watched_decorrelates():
-    table = arrow_scenario_table(projection_rule(2, 3, 0), watched=1)
-    for i in range(3):
-        for j in range(3):
-            assert table.entry(i, j) == 0.0
-    assert np.allclose(table.alice_plus, 0.5)
-    assert np.allclose(table.bob_plus, 0.5)
-    assert abs(table.weights.sum() - 1.0) < 1e-12
-
-
-def test_point_distribution_gives_deterministic_entries():
-    rule = projection_rule(2, 3, 0)
-    table = arrow_scenario_table(rule, distribution={14: 1.0}, watched=1)
-    defined = [
-        table.entry(i, j)
-        for i in range(3)
-        for j in range(3)
-        if table.entry(i, j) is not None
-    ]
-    assert len(defined) == 1 and defined[0] in (-1.0, 1.0)
-
-
-def test_distribution_validation():
-    rule = projection_rule(2, 3, 0)
-    with pytest.raises(ValueError):
-        arrow_scenario_table(rule, distribution={0: 0.5})
-    with pytest.raises(ValueError):
-        arrow_scenario_table(rule, distribution={99: 1.0})
-    # NaN compares false against every bound, so it needs its own check
-    for bad in ({0: nan, 1: 1.0}, {0: inf}, {0: -inf, 1: 1.0}):
-        with pytest.raises(ValueError, match="finite"):
-            arrow_scenario_table(rule, distribution=bad)
-    # a float or string key would be truncated or parsed to another profile
-    for key in (1.7, "1"):
-        with pytest.raises(ValueError, match="is not an integer"):
-            arrow_scenario_table(rule, distribution={key: 1.0})
-    # float() would parse a string and read true as 1
-    for weight in ("1.0", True, np.True_):
-        with pytest.raises(ValueError, match="is not a real number"):
-            arrow_scenario_table(rule, distribution={14: weight})
-    with pytest.raises(ValueError, match="past the float range"):
-        arrow_scenario_table(rule, distribution={14: 10 ** 400})
-    point = arrow_scenario_table(rule, distribution={np.int64(14): 1.0}, watched=1)
-    assert point.weights.sum() == 1.0
-    for weight in (np.float64(1.0), np.int64(1), 1):
-        table = arrow_scenario_table(rule, distribution={14: weight}, watched=1)
-        assert table.weights.sum() == 1.0 and table.to_json_dict() == point.to_json_dict()
-    with pytest.raises(ValueError):
-        arrow_scenario_table(projection_rule(2, 4, 0))
-
-
-def test_table_json_shape():
-    table = arrow_scenario_table(projection_rule(2, 3, 0), watched=0)
-    data = table.to_json_dict()
-    assert data["E"][0][1] is None
-    assert data["E"][0][0] == 1.0
 
 
 # ---- optimizer ----

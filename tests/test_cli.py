@@ -153,6 +153,17 @@ def test_verify_arrow_single_alternative_reports():
     assert report_of(proc)["results"]["rules"] == [[]]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_verify_arrow_one_voter_passes(n):
+    # a lone voter's only fair rule copies its ballot: the theorem holds
+    proc = run_cli("verify-arrow", "--voters", "1", "--alternatives", str(n))
+    assert proc.returncode == 0
+    report = report_of(proc)
+    assert report["pass"] is True
+    assert report["results"]["all_dictatorial"] is True
+    assert report["results"]["fair_rule_count"] == 1
+
+
 def test_verify_arrow_guard_exits_two():
     proc = run_cli("verify-arrow", "--voters", "5", "--alternatives", "3")
     assert proc.returncode == 2
@@ -581,6 +592,19 @@ def test_ks_verify_rejects_a_vector_entry_that_is_no_number(tmp_path, capsys, en
     path.write_text(text)
     assert run_main(capsys, "ks-verify", "--instance", str(path)) == (
         2, "", f"error: malformed coloring instance: {message}\n"
+    )
+
+
+@pytest.mark.parametrize("instance", [
+    {**TWO_DIM_INSTANCE, "bases": []},
+    {"dimension": 0, "vectors": [], "bases": [], "coloring": []},
+])
+def test_ks_verify_refuses_an_instance_without_a_basis(tmp_path, capsys, instance):
+    # a coloring of no basis passed vacuously
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert run_main(capsys, "ks-verify", "--instance", str(path)) == (
+        2, "", "error: an instance must declare at least one basis\n"
     )
 
 

@@ -26,11 +26,9 @@ from arrowq.social_choice import (
     constant_rule,
     enumerate_fair_rules,
     find_dictator,
-    order_from_pair_bits,
     pair_input,
     pairwise_majority_rule,
     profile_domain,
-    profile_index,
     projection_rule,
     rule_from_json_dict,
     rule_to_json_dict,
@@ -61,7 +59,7 @@ FAIR_33 = [
 
 def test_profile_index_matches_enumeration_order():
     for i, profile in enumerate(all_profiles(2, 3)):
-        assert profile_index(profile) == i
+        assert oracles.profile_index(profile) == i
 
 
 def test_pair_input_bits():
@@ -73,37 +71,35 @@ def test_pair_input_bits():
 
 def test_order_from_pair_bits_roundtrip():
     for n in range(1, 7):
-        bits = profile_domain(1, n).ballot_bits
+        domain = profile_domain(1, n)
         for order in enumerate_orders(n):
             pair_bits = oracles.decompose(order)
-            assert pair_bits == tuple(bits[order_rank(order)].tolist())
-            assert order_from_pair_bits(pair_bits, n) == order
+            assert pair_bits == tuple(domain.ballot_bits[order_rank(order)].tolist())
+            assert oracles.order_from_pair_bits(pair_bits, n) == order
+            assert domain.decode(np.array(pair_bits, dtype=np.int64)) == order_rank(order)
 
 
 def test_order_from_pair_bits_rejects_cycles():
-    with pytest.raises(IntransitiveOutcomeError):
-        order_from_pair_bits((1, 0, 1), 3)
-    with pytest.raises(IntransitiveOutcomeError):
-        order_from_pair_bits((0, 1, 0), 3)
+    for bits in ((1, 0, 1), (0, 1, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"pair bits {bits} contain a cycle")):
+            oracles.order_from_pair_bits(bits, 3)
+        assert profile_domain(1, 3).decode(np.array(bits)) == -1
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_order_from_pair_bits_matches_the_cycle_oracle(n, monkeypatch):
-    # the win counts decide: no pair is re-checked against the ranking
-    def refuse(*args):
-        raise AssertionError("prefers called")
-
-    monkeypatch.setattr(social_choice, "prefers", refuse)
-    pairs = n * (n - 1) // 2
-    acyclic = 0
-    for bits in product((0, 1), repeat=pairs):  # 1,024 vectors at n = 5
-        if oracles.tournament_is_acyclic(bits, n):
-            acyclic += 1
-            assert oracles.decompose(order_from_pair_bits(bits, n)) == bits
+def test_order_from_pair_bits_matches_the_cycle_oracle(n):
+    # the package's one decoder against the win-count and 3-cycle references
+    domain = profile_domain(1, n)
+    bits = np.array(list(product((0, 1), repeat=n * (n - 1) // 2)), dtype=np.int64)
+    ranks = domain.decode(bits)
+    for row, rank in zip(bits.tolist(), ranks.tolist()):
+        if oracles.tournament_is_acyclic(row, n):
+            assert domain.orders[rank] == oracles.order_from_pair_bits(row, n)
         else:
-            with pytest.raises(IntransitiveOutcomeError):
-                order_from_pair_bits(bits, n)
-    assert acyclic == len(enumerate_orders(n))
+            assert rank == -1
+            with pytest.raises(ValueError, match="contain a cycle"):
+                oracles.order_from_pair_bits(row, n)
+    assert (ranks >= 0).sum() == len(enumerate_orders(n))
 
 
 @given(st.sampled_from(list(enumerate_orders(3))), st.sampled_from(list(enumerate_orders(3))))
@@ -132,6 +128,30 @@ def test_majority_rule_cycles_on_condorcet_profile():
         rule.outcome(cyclic)
 
 
+# every profile at (3,3) and (3,4); at (4,4) every 41st of 331,776, since
+# one scalar outcome() per profile there takes about 11 s
+@pytest.mark.parametrize("m,n,step", [(3, 3, 1), (3, 4, 1), (4, 4, 41)])
+def test_outcome_matches_the_win_count_reference(m, n, step):
+    rule = pairwise_majority_rule(m, n)
+    table = rule.as_table()
+    cycles = 0
+    for profile in list(all_profiles(m, n))[::step]:
+        bits = [rule.tables[k][sum(oracles.ranks_above(ballot, a, b) << i
+                                   for i, ballot in enumerate(profile))]
+                for k, (a, b) in enumerate(oracles.unordered_pairs(n))]
+        try:
+            want = oracles.order_from_pair_bits(bits, n)
+        except ValueError as exc:
+            cycles += 1
+            with pytest.raises(IntransitiveOutcomeError, match=re.escape(str(exc))):
+                rule.outcome(profile)
+            with pytest.raises(ValueError, match="outside the rule's domain"):
+                table.outcome(profile)
+        else:
+            assert rule.outcome(profile) == table.outcome(profile) == want
+    assert cycles > 0
+
+
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (2, 4)])
 def test_profile_domain_rows_match_scalar_functions(m, n):
     domain = profile_domain(m, n)
@@ -143,7 +163,7 @@ def test_profile_domain_rows_match_scalar_functions(m, n):
     profiles = list(all_profiles(m, n))
     assert profiles == list(product(rankings, repeat=m))
     for j, profile in enumerate(profiles):
-        assert profile_index(profile) == j
+        assert oracles.profile_index(profile) == j
         assert domain.profile(j) == profile
         assert domain.ballot_ranks[j].tolist() == [order_rank(b) for b in profile]
         assert domain.ballot_ranks[j].tolist() == [rankings.index(b) for b in profile]
@@ -216,7 +236,7 @@ def test_cyclic_profiles_tabulate_as_undecided():
     majority = pairwise_majority_rule(3, 3)
     table = majority.as_table()
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
-    assert table.outcomes[profile_index(cyclic)] is None
+    assert table.outcomes[oracles.profile_index(cyclic)] is None
     assert sum(out is None for out in table.outcomes) == 12
     assert arrow_report(table) == arrow_report(majority)
 
