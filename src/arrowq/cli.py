@@ -15,7 +15,9 @@ import json
 import sys
 import time
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from math import cos, factorial, inf, isfinite, pi, sin, sqrt
+from types import NoneType
 
 import numpy as np
 
@@ -46,7 +48,17 @@ from .social_choice import (
 
 DEFAULT_THETAS = (0.0, pi / 8, pi / 4, 3 * pi / 8, pi / 2)
 TSIRELSON = 2 * sqrt(2.0)
-_JSON_SCALARS = frozenset((int, float, bool, type(None)))
+_PIECE_BYTES = 1 << 16  # largest text piece a digit array is written in
+# json's text for a value of each exact scalar type; anything else,
+# subclasses and non-finite floats included, goes through json.dumps
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if isfinite(x) else json.dumps(x),
+    bool: ("false", "true").__getitem__,
+    NoneType: lambda _: "null",
+}
+_JSON_SCALARS = frozenset(_SCALAR_TEXT)
 
 
 def _encode(value, indent: str = "") -> str:
@@ -60,17 +72,19 @@ def _pieces(value, indent: str = ""):
     report is joined once, by its writer, rather than once per nesting
     level.  Takes dicts with str keys, lists, tuples, JSON scalars, and
     integer arrays whose entries are digits 0-9 (written as their
-    .tolist(), in one piece).
+    .tolist()).
 
-    With indent, json.dumps runs CPython's pure-Python encoder; here every
-    list of ints, floats, bools and None is one call of the C encoder,
-    whose ", " separators become ",\n" and the indent.  No number, true,
-    false, null, NaN or Infinity contains ", ", and strings never take that
-    path.  Other scalars (subclasses such as numpy floats) go through
-    json.dumps one by one, which gives the same bytes."""
+    With indent, json.dumps runs CPython's pure-Python encoder.  Here a
+    key, and a scalar of an exact JSON type, is written by its type with
+    json's own spelling; any other scalar goes through json.dumps.  Every
+    list whose entries all have such types is one call of the C encoder,
+    with ",\n" and the indent as its item separator."""
     inner = indent + "  "
-    if isinstance(value, np.ndarray):
-        yield _encode_digits(value, indent)
+    write = _SCALAR_TEXT.get(type(value))
+    if write is not None:
+        yield write(value)
+    elif isinstance(value, np.ndarray):
+        yield from _digit_pieces(value, indent)
     elif not isinstance(value, (dict, list, tuple)):
         yield json.dumps(value)
     elif not value:
@@ -78,12 +92,13 @@ def _pieces(value, indent: str = ""):
     elif isinstance(value, dict):
         separator = f"{{\n{inner}"
         for k in sorted(value):
-            yield f"{separator}{json.dumps(k)}: "
+            yield f"{separator}{encode_basestring_ascii(k)}: "
             yield from _pieces(value[k], inner)
             separator = f",\n{inner}"
         yield f"\n{indent}}}"
     elif _JSON_SCALARS.issuperset(map(type, value)):
-        yield f"[\n{inner}" + json.dumps(value)[1:-1].replace(", ", f",\n{inner}") + f"\n{indent}]"
+        items = json.JSONEncoder(separators=(f",\n{inner}", ": ")).encode(value)
+        yield f"[\n{inner}{items[1:-1]}\n{indent}]"
     else:
         separator = f"[\n{inner}"
         for x in value:
@@ -93,32 +108,49 @@ def _pieces(value, indent: str = ""):
         yield f"\n{indent}]"
 
 
-def _encode_digits(array: np.ndarray, indent: str) -> str:
-    """_encode(array.tolist(), indent) for an integer array of one or more
-    dimensions whose entries are digits 0-9, such as a fair-rule bit table.
+def _digit_pieces(array: np.ndarray, indent: str):
+    """The text of _encode(array.tolist(), indent), in pieces, for an
+    integer array of one or more dimensions whose entries are digits 0-9,
+    such as a fair-rule bit table.
 
     A single digit prints as one byte, so every row's text has the layout
     of an all-zero row and differs from it only in the zeros' bytes.  That
-    row, encoded once behind its separator, is tiled into one byte buffer,
-    the digits are written over its zeros, and the buffer is decoded once.
-    The opening "[\\n" + indent has the separator's layout, so the first
-    separator's comma becomes the bracket."""
+    row, encoded once behind its separator, is tiled into a byte buffer,
+    and the digits are written over its zeros: the zeros of one innermost
+    list lie a fixed step apart, so each innermost list is one strided
+    slice of every row.  The opening "[\\n" + indent has the separator's
+    layout, so the first separator's comma becomes the bracket.
+
+    The rows go out at most _PIECE_BYTES of text at a time, each piece
+    decoded from one buffer that every piece reuses.  A buffer of the whole
+    text (4.0 MB of rule rows at 4 voters and 2 alternatives) was a fresh
+    allocation on every call, and each of its pages a fresh page fault."""
     if array.dtype.kind not in "iu" or array.ndim < 1 or (
             array.size and not 0 <= array.min() <= array.max() <= 9):
         raise ValueError(f"cannot write a {array.dtype} array of shape {array.shape}:"
                          " the writer takes integer arrays of digits 0-9")
     if not len(array):
-        return "[]"
+        yield "[]"
+        return
     inner = indent + "  "
     row = f",\n{inner}" + _encode(np.zeros(array.shape[1:], dtype=int).tolist(), inner)
     template = np.frombuffer(row.encode(), dtype=np.uint8)
-    tail = np.frombuffer(f"\n{indent}]".encode(), dtype=np.uint8)
-    text = np.empty(len(array) * len(template) + len(tail), dtype=np.uint8)
-    rows = text[:-len(tail)].reshape(len(array), len(template))
-    rows[:] = template
-    rows[:, template == ord("0")] = array.reshape(len(array), -1) + ord("0")
-    text[0], text[-len(tail):] = ord("["), tail
-    return str(text, "ascii")
+    width = array.shape[-1] if array.ndim > 1 else 1
+    step = len(f",\n{indent}") + 2 * array.ndim + 1  # a digit, a comma and a line
+    starts = np.flatnonzero(template == ord("0"))[::max(width, 1)].tolist()  # one per list
+    count = max(1, _PIECE_BYTES // len(template))  # rows per piece
+    buffer = np.empty((min(count, len(array)), len(template)), dtype=np.uint8)
+    for first in range(0, len(array), count):
+        block = array[first:first + count]
+        rows = buffer[:len(block)]
+        rows[:] = template
+        digits = (block + ord("0")).reshape(len(block), len(starts), width)
+        for j, start in enumerate(starts):
+            rows[:, start:start + step * (width - 1) + 1:step] = digits[:, j]
+        if not first:
+            rows[0, 0] = ord("[")
+        yield str(rows, "ascii")
+    yield f"\n{indent}]"
 
 
 def _emit(report: dict, output: str):

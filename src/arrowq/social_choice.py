@@ -125,6 +125,15 @@ def _check_rule_entries(m: int, n: int) -> None:
         raise ValueError(f"{m} voters need 2^{m} or more rule entries")
 
 
+def _check_table_size(m: int, n: int) -> None:
+    """_check_rule_entries, then the profile-count guard on the 2^m-entry
+    table a builder is about to list: at two alternatives 2^m is the
+    profile count, and no predicate or circuit reads a larger rule."""
+    _check_rule_entries(m, n)
+    if n > 1:
+        check_power_guard(2, m, MAX_PROFILES, "pair table size 2^m")
+
+
 @dataclass(frozen=True)
 class VotingRule:
     """Map from profiles to rankings, in table or pairwise form.
@@ -198,10 +207,16 @@ class VotingRule:
             ranks = domain.decode(tables[np.arange(len(tables)), domain.pair_inputs])
         else:
             rank = {order: r for r, order in enumerate(enumerate_orders(n))}
-            try:
-                ranks = np.array([-1 if o is None else rank[tuple(o)] for o in self.outcomes])
-            except KeyError as missing:  # str() of a KeyError is the key's repr
-                raise ValueError(f"{missing} is not a ranking of alternatives 0..{n - 1}") from None
+            rank[None] = -1
+            try:  # one C-level lookup per entry; a list entry is unhashable
+                ranks = np.fromiter(map(rank.__getitem__, self.outcomes), dtype=int,
+                                    count=len(self.outcomes))
+            except (KeyError, TypeError):
+                try:
+                    ranks = np.array([rank[o if o is None else tuple(o)] for o in self.outcomes])
+                except KeyError as missing:  # str() of a KeyError is the key's repr
+                    raise ValueError(
+                        f"{missing} is not a ranking of alternatives 0..{n - 1}") from None
         ranks.flags.writeable = False
         return ranks
 
@@ -233,7 +248,7 @@ def _rule_from_ranks(m: int, n: int, ranks: np.ndarray) -> VotingRule:
 
 def projection_rule(m: int, n: int, voter: int) -> VotingRule:
     """Outcome = the chosen voter's ballot, in pairwise form."""
-    _check_rule_entries(m, n)  # before building 2^m entries; one alternative needs none
+    _check_table_size(m, n)  # before building 2^m entries; one alternative needs none
     if not 0 <= voter < m:
         raise ValueError(f"voter {voter} out of range for {m} voters")
     table = tuple((v >> voter) & 1 for v in range(1 << m)) if n > 1 else ()
@@ -270,7 +285,7 @@ def pairwise_majority_rule(m: int, n: int) -> VotingRule:
     For n > 2 the outcome can cycle on some profiles, in which case
     outcome() raises IntransitiveOutcomeError.
     """
-    _check_rule_entries(m, n)  # before building 2^m entries; one alternative needs none
+    _check_table_size(m, n)  # before building 2^m entries; one alternative needs none
     table = tuple(int(bin(v).count("1") * 2 > m) for v in range(1 << m)) if n > 1 else ()
     return VotingRule(m, n, tables=(table,) * len(alternative_pairs(n)))
 
@@ -482,42 +497,52 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     A rule is one Boolean variable per (pair k, voter vector v): bit v of
     table k.  Unanimity gives the unit clauses x[k][0] = 0 and
     x[k][2^m - 1] = 1; each triple x < y < z and each way the voters rank
-    it give two 3-literal nogoods, one per cyclic outcome.  The search
-    branches on the lowest unassigned variable, 0 before 1, and sets every
-    variable the clauses then force (unit propagation), so the rules come
-    out in table order.  Each branch value propagates on a copy of its
-    parent's assignment, so nothing is undone.  Once every unassigned
-    variable lies past the last one in a nogood (from the start at n <= 2),
-    every completion of the rest is a fair rule, and they are listed
-    without branching.
+    it give two 3-literal nogoods, one per cyclic outcome.
+
+    With fewer than three alternatives there is no triple, so no nogood is
+    built and no sweep runs: every completion of the unit clauses is a fair
+    rule.  They are listed in counting order, the lowest free variable most
+    significant, by unpacking the bits of a row counter stored big-endian
+    in the narrowest unsigned type.
+
+    Otherwise every variable lies in some nogood.  The search branches on
+    the lowest unassigned variable, 0 before 1, and sets every variable the
+    clauses then force (unit propagation), so the rules come out in table
+    order.  Each branch value propagates on a copy of its parent's
+    assignment, so nothing is undone.
     """
     check_rule_size(m, n)
     check_power_guard(2, m, 16, "profile bit-vector size 2^m")
     size, npairs = 1 << m, len(alternative_pairs(n))
-    nogoods = _cyclic_nogoods(m, n)
-    literals = nogoods.T.copy()  # [3, C]: a sweep sums three contiguous rows
-    var, bit = literals >> 1, (literals & 1).astype(np.int8)
-    last_constrained = int(var.max(initial=-1))
 
     # unanimity: x[k][0] = 0 and x[k][2^m - 1] = 1
     values = np.full((npairs, size), -1, dtype=np.int8)
     values[:, 0], values[:, -1] = 0, 1
     values = values.ravel()
+    if n < 3:
+        free = np.flatnonzero(values < 0)
+        counter = np.arange(1 << len(free), dtype=np.min_scalar_type(
+            (1 << len(free)) - 1).newbyteorder(">"))
+        bits = np.unpackbits(counter.view(np.uint8).reshape(len(counter), -1), axis=1)
+        rows = np.repeat(values[None], len(counter), axis=0)
+        rows[:, free] = bits[:, bits.shape[1] - len(free):]
+        return FairRules(m, n, rows.reshape(len(rows), npairs, size),
+                         2 * npairs, 0, 2 * npairs, 0)
+
+    nogoods = _cyclic_nogoods(m, n)
+    literals = nogoods.T.copy()  # [3, C]: a sweep sums three contiguous rows
+    var, bit = literals >> 1, (literals & 1).astype(np.int8)
     _propagate(values, var, bit)
     clauses = 2 * npairs + len(nogoods)
     decisions, propagations, conflicts = 0, int((values >= 0).sum()), 0
 
-    completions = []
+    rules = []
     stack = [values]  # assignments still to branch on, the next on top
     while stack:
         values = stack.pop()
         free = np.flatnonzero(values < 0)
-        if not free.size or free[0] > last_constrained:
-            # every completion of the unassigned variables, the lowest one
-            # most significant, so the rows come out in table order
-            rows = np.repeat(values[None], 1 << len(free), axis=0)
-            rows[:, free] = np.arange(len(rows))[:, None] >> np.arange(len(free))[::-1] & 1
-            completions.append(rows.reshape(len(rows), npairs, size))
+        if not free.size:
+            rules.append(values)
             continue
         assigned = len(values) - len(free)
         children = []
@@ -532,7 +557,7 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
             else:
                 conflicts += 1
         stack.extend(reversed(children))
-    tables = np.concatenate(completions)
+    tables = np.stack(rules).reshape(len(rules), npairs, size)
     return FairRules(m, n, tables, clauses, decisions, propagations, conflicts)
 
 
@@ -572,20 +597,35 @@ def verify_arrow(m: int, n: int) -> ArrowVerification:
 
     A fair rule is total and every voter vector occurs on every pair, so
     voter i dictates exactly when every table equals voter i's projection
-    table.  Each 2^m-bit table is read once, as the packed code
-    table @ 2^(0..2^m-1) (under 2^16 within the search's guard), and one
-    comparison of the [rule, pair] codes with the m projection codes gives
-    find_dictator for every rule.
+    table.  Each rule's tables are packed, as one bit string, into words,
+    and one comparison of those words with the m projections' gives
+    find_dictator for every rule: a voter, or -1 where none copies.
     """
     rules = enumerate_fair_rules(m, n)
-    weights = 1 << np.arange(1 << m)
-    projections = ((np.arange(1 << m) >> np.arange(m)[:, None]) & 1) @ weights
-    codes = rules.tables @ weights
-    copies = (codes[:, None] == projections[:, None]).all(axis=2)
-    dictated, first = copies.any(axis=1), copies.argmax(axis=1)
-    per_rule = tuple(d if hit else None for d, hit in zip(first.tolist(), dictated.tolist()))
+    projections = (np.arange(1 << m) >> np.arange(m)[:, None]) & 1  # [voter, 2^m]
+    voters = _packed_words(np.repeat(projections[:, None], rules.tables.shape[1], axis=1))
+    copies = (_packed_words(rules.tables) == voters[:, None]).all(axis=2)  # [voter, rule]
+    first = np.full(len(rules), -1)
+    for voter in reversed(range(m)):  # the least voter that copies writes last
+        first[copies[voter]] = voter
+    per_rule = tuple(np.array((*range(m), None), dtype=object)[first].tolist())  # -1 is None
+    dictated = first >= 0
     dictators = tuple(np.unique(first[dictated]).tolist())
     return ArrowVerification(m, n, len(rules), bool(dictated.all()), dictators, per_rule, rules)
+
+
+def _packed_words(tables: np.ndarray) -> np.ndarray:
+    """[rules, pairs, 2^m] bits as [rules, words] unsigned words: each
+    rule's bits in order, zero-padded to a power of two of at least 8 bits,
+    which is one word of 1, 2, 4 or 8 bytes or a row of 8-byte words.  One
+    flat np.packbits packs every rule at once: along the last axis it steps
+    row by row, about fifty times as long for the 16,384 rules at (4, 2)."""
+    flat = tables.reshape(len(tables), -1)
+    width = max(8, 1 << (flat.shape[1] - 1).bit_length())
+    bits = np.zeros((len(flat), width), dtype=np.uint8)
+    bits[:, :flat.shape[1]] = flat
+    words = np.packbits(bits, bitorder="little").view(f"u{min(width // 8, 8)}")
+    return words.reshape(len(flat), -1)
 
 
 # ---- reversible circuit table ----

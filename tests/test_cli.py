@@ -6,7 +6,9 @@ import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from math import inf, nan, sqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -679,6 +681,10 @@ def test_json_flag_is_refused():
 
 # ---- report writer and parser reuse ----
 
+class Color(IntEnum):
+    RED = 1
+
+
 json_text = st.text(st.sampled_from(list(', []{}":\\\x00\né雪1a')))
 json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
                 | st.sampled_from([nan, inf, -inf, -0.0, 1e300]) | json_text)
@@ -694,6 +700,15 @@ json_values = st.recursive(
 @example({"a": {"b": {"c": [{}, [], ()]}}})
 @example([["a, b", "[1, 2]"], [1, 2.5, None, True, nan, -inf], (0, -0.0, 1e300)])
 @example({", ": [", "], "": {"\"": "é, 雪"}})
+# scalars the writer spells by their exact type, and ones it hands to json.dumps
+@example([np.float64(0.1), Color.RED, [Color.RED, 2], np.float64(nan)])
+@example([True, 1, [1, True], {"1": True, "true": 1}])
+@example([-0.0, 5e-324, 1e16, [-0.0, 5e-324, 1e16, -1e-7]])
+@example(nan)
+@example(inf)
+@example(-inf)
+@example([nan, [inf], [-inf, 1.5], {"x": nan, "y": -inf}])
+@example({"é": 1, "雪": [None], "\x00": {"ä\n": "ß"}, "\U0001f600": -inf})
 def test_report_writer_matches_json_dumps(value):
     assert cli._encode(value) == json.dumps(value, sort_keys=True, indent=2)
 
@@ -702,14 +717,18 @@ digit_arrays = hnp.arrays(np.int8, hnp.array_shapes(min_dims=1, max_dims=4, min_
                           elements=st.integers(0, 9))
 
 
-@given(digit_arrays, st.integers(0, 3), json_text)
-@example(np.zeros((1, 0, 4), dtype=np.int8), 2, "rules")  # the (2,1) table
-@example(np.arange(10, dtype=np.int8).reshape(5, 1, 2), 3, "")
-def test_report_writer_writes_digit_arrays_as_their_lists(array, depth, key):
+@given(digit_arrays, st.integers(0, 3), json_text, st.sampled_from([1, 40, 1 << 16]))
+@example(np.zeros((1, 0, 4), dtype=np.int8), 2, "rules", 1 << 16)  # the (2,1) table
+@example(np.arange(10, dtype=np.int8).reshape(5, 1, 2), 3, "", 1 << 16)
+@example(np.arange(10, dtype=np.int8).reshape(5, 1, 2), 3, "", 1)
+@example(np.arange(24, dtype=np.int8).reshape(3, 2, 4) % 10, 1, "rules", 40)
+def test_report_writer_writes_digit_arrays_as_their_lists(array, depth, key, piece_bytes):
+    # piece_bytes 1 writes one row per piece, 40 a few rows, 1 << 16 all of these
     value, listed = array, array.tolist()
     for _ in range(depth):
         value, listed = {key: value, "~": [value]}, {key: listed, "~": [listed]}
-    assert cli._encode(value) == json.dumps(listed, sort_keys=True, indent=2)
+    with mock.patch.object(cli, "_PIECE_BYTES", piece_bytes):
+        assert cli._encode(value) == json.dumps(listed, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize(

@@ -572,6 +572,20 @@ def test_batched_dictators_match_find_dictator(m, n):
     assert v.rule_dictators == tuple(find_dictator(rule) for rule in v.rules)
 
 
+def test_verify_arrow_42_stays_within_its_working_set():
+    # 16,384 rules of 16 bits: the int8 tables take 256 KB, and the listing
+    # and the dictator pass build no int64 copy of them (2.4 MB traced when
+    # they did)
+    verify_arrow(4, 2)  # numpy's lazy imports fall outside the measurement
+    tracemalloc.start()
+    try:
+        verify_arrow(4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2e6
+
+
 # frozen: (clauses, decisions, propagations, conflicts).  Clauses are a
 # unit clause per table end and two nogoods per triple and per way the
 # voters rank it (6^m); m projections are m - 1 binary branch points, each
@@ -720,6 +734,19 @@ def test_table_rule_rejects_a_non_ranking_entry(bad):
         rule_from_json_dict(data)
 
 
+def test_table_rule_ranks_list_entries_as_tuples():
+    # a list entry is unhashable, so it takes the per-entry path; a None
+    # hole ranks -1 on both paths
+    outcomes = [None if j % 5 == 0 else p[1] for j, p in enumerate(all_profiles(2, 3))]
+    as_tuples = VotingRule(2, 3, outcomes=tuple(outcomes))
+    as_lists = VotingRule(2, 3, outcomes=tuple(None if o is None else list(o) for o in outcomes))
+    want = [-1 if o is None else order_rank(o) for o in outcomes]
+    assert as_tuples.outcome_ranks.tolist() == as_lists.outcome_ranks.tolist() == want
+    outcomes[7] = [0, 0, 1]
+    with pytest.raises(ValueError, match=r"^\(0, 0, 1\) is not a ranking of alternatives 0..2$"):
+        VotingRule(2, 3, outcomes=tuple(outcomes))
+
+
 # (3,3) table documents with bad values anywhere in their 216 entries
 _LEAVES = [True, 1.0, "1", None, 10 ** 400]
 _ENTRIES = [5, [], [0, 1], [0, 0, 1], [0, 1, 3], None]
@@ -806,6 +833,33 @@ def test_rule_builders_refuse_before_building(build):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: projection_rule(40, 2, 0),
+    lambda: pairwise_majority_rule(40, 3),
+    lambda: projection_rule(20, 2, 0),
+], ids=["projection", "majority", "projection-20"])
+def test_rule_builders_guard_the_table_size(monkeypatch, build):
+    # below 63 voters 2^m entries could be listed, but past 2^19 no profile
+    # domain reads them: 2^40 would exhaust memory, so refuse before building
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(SizeLimitError, match=r"^pair table size 2\^m = (2\^40|1048576) exceeds"):
+            build()
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 1 << 20
+
+
+def test_rule_builders_admit_the_largest_guarded_table(monkeypatch):
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    rule = pairwise_majority_rule(19, 2)  # 2^19 = MAX_PROFILES entries
+    assert len(rule.tables[0]) == social_choice.MAX_PROFILES
 
 
 @pytest.mark.parametrize("build", [
