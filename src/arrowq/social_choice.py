@@ -11,6 +11,9 @@ outcome is a valid ranking only when the induced tournament is acyclic.
 The predicates read a shared ProfileDomain (every profile as arrays) and
 a rule's outcome ranks.  They quantify over the profiles the rule decides,
 those without a None entry or a cyclic tournament, so partial tables work.
+A pairwise rule is read off its tables where a closed form decides: IIA
+always, Pareto when every table respects unanimity, totality by the
+search's nogood test, and a dictator of a total rule by comparing tables.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
-from itertools import combinations, product
-from math import factorial
+from itertools import chain, combinations, product
+from math import comb, factorial
 from typing import Iterator, Optional
 
 import numpy as np
@@ -68,6 +71,10 @@ class ProfileDomain:
     ballot_ranks[j, i]: order_rank of voter i's ballot in profile j.
     pair_inputs[j, k]: pair_input of profile j on the k-th alternative pair.
     ballot_bits[r, k]: ballot r ranks a above b, for the k-th pair (a, b).
+
+    The predicates' per-size data (rank_bits, cell_keys, unanimous_cells,
+    triple_codes) is built on first use, in the narrowest unsigned type, so
+    circuits and rule builders do not pay for it.
     """
 
     def __init__(self, m: int, n: int):
@@ -82,12 +89,58 @@ class ProfileDomain:
         bits = self.ballot_bits.astype(np.min_scalar_type((1 << m) - 1))
         self.pair_inputs = sum(bits[self.ballot_ranks[:, i]] << i for i in range(m))
         # ballots sorted by their pair bits read as a binary number, for decode
-        self._bit_weights = 1 << np.arange(len(a))
+        self._bit_weights = (1 << np.arange(len(a))).astype(np.min_scalar_type((1 << len(a)) - 1))
         codes = self.ballot_bits @ self._bit_weights
         self._code_order = np.argsort(codes)
         self._sorted_codes = codes[self._code_order]
         for array in (self.ballot_bits, self.ballot_ranks, self.pair_inputs):
             array.flags.writeable = False
+
+    @cached_property
+    def rank_bits(self) -> np.ndarray:
+        """[n! + 1, pairs]: ballot_bits of each rank, then a last row, read
+        by rank -1 (undecided), holding 2^(m+1) * pairs: no bit equals it,
+        and added to a cell_keys row it moves every key past the counted
+        range."""
+        counted = self.ballot_bits.shape[1] << (self.ballot_ranks.shape[1] + 1)
+        dtype = np.min_scalar_type(2 * counted - 1)
+        return _read_only(np.vstack([self.ballot_bits, np.full(self.ballot_bits.shape[1], counted)])
+                          .astype(dtype))
+
+    @cached_property
+    def cell_keys(self) -> np.ndarray:
+        """[profiles, pairs]: 2 * (k * 2^m + pair_inputs[j, k]), twice the
+        entry of a pairwise rule's flattened tables that decides profile j on
+        pair k; adding the outcome's bit on pair k gives one counter per
+        (pair, voter vector, outcome bit)."""
+        m, npairs = self.ballot_ranks.shape[1], self.ballot_bits.shape[1]
+        offsets = (np.arange(npairs, dtype=self.rank_bits.dtype) << m) + self.pair_inputs
+        return _read_only(offsets << 1)
+
+    @cached_property
+    def unanimous_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cell, veto) of every cell j * pairs + k where the voters agree on
+        the k-th pair, in profile then pair order; veto is the outcome bit
+        that overrides them: 1 where every voter ranks b above a."""
+        full = (1 << self.ballot_ranks.shape[1]) - 1
+        inputs = self.pair_inputs.ravel()
+        cells = np.flatnonzero((inputs == 0) | (inputs == full))
+        veto = (inputs[cells] == 0).astype(self.rank_bits.dtype)
+        return _read_only(cells.astype(np.min_scalar_type(inputs.size))), _read_only(veto)
+
+    @cached_property
+    def triple_codes(self) -> np.ndarray:
+        """[profiles, triples]: t * 6^m plus how the voters rank the t-th
+        triple x < y < z, one base-6 digit per voter (voter 0 most
+        significant); the digit numbers the six acyclic (xy, yz, xz) bit
+        patterns of one ballot."""
+        m, n = self.ballot_ranks.shape[1], len(self.orders[0])
+        triples = _triple_pairs(n)
+        # (xy, yz, xz) read as 4 xy + 2 yz + xz is never 6 or 1, the cyclic patterns
+        digit = np.array([0, 0, 1, 2, 3, 4, 0, 5])[self.ballot_bits[:, triples] @ np.array([4, 2, 1])]
+        codes = sum(digit[self.ballot_ranks[:, i]] * 6 ** (m - 1 - i) for i in range(m))
+        codes = codes + np.arange(len(triples)) * 6 ** m
+        return _read_only(codes.astype(np.min_scalar_type(len(triples) * 6 ** m)))
 
     def profile(self, j: int) -> Profile:
         return tuple(self.orders[r] for r in self.ballot_ranks[j])
@@ -106,6 +159,11 @@ class ProfileDomain:
 
 
 profile_domain = lru_cache(maxsize=8)(ProfileDomain)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 # ---- voting rules ----
@@ -159,9 +217,12 @@ class VotingRule:
             pairs = n * (n - 1) // 2
             if len(self.tables) != pairs:
                 raise ValueError(f"expected {pairs} pair tables")
-            for t in self.tables:
-                if len(t) != 1 << m or any(bit not in (0, 1) for bit in t):
-                    raise ValueError("each table needs 2^m bits")
+            try:  # one C-level pass: True, 1.0 and numpy ints hash and compare as bits
+                bits = {0, 1}.issuperset(chain.from_iterable(self.tables))
+            except TypeError:  # an unhashable entry is no bit
+                bits = False
+            if not bits or any(len(t) != 1 << m for t in self.tables):
+                raise ValueError("each table needs 2^m bits")
         else:
             if len(self.outcomes) != factorial(n) ** m:
                 raise ValueError(f"expected {factorial(n) ** m} outcome entries")
@@ -203,8 +264,7 @@ class VotingRule:
         m, n = self.voters, self.alternatives
         if self.tables is not None:
             domain = profile_domain(m, n)
-            tables = np.array(self.tables, dtype=np.int64).reshape(-1, 1 << m)
-            ranks = domain.decode(tables[np.arange(len(tables)), domain.pair_inputs])
+            ranks = domain.decode(self.table_bits.ravel()[domain.cell_keys >> 1])
         else:
             rank = {order: r for r, order in enumerate(enumerate_orders(n))}
             rank[None] = -1
@@ -217,10 +277,27 @@ class VotingRule:
                 except KeyError as missing:  # str() of a KeyError is the key's repr
                     raise ValueError(
                         f"{missing} is not a ranking of alternatives 0..{n - 1}") from None
-        ranks.flags.writeable = False
-        return ranks
+        return _read_only(ranks)
+
+    @cached_property
+    def outcome_bits(self) -> np.ndarray:
+        """Read-only [profiles, pairs]: the outcome's bit on each pair at
+        every profile, or ProfileDomain.rank_bits' filler where the rule is
+        undecided."""
+        domain = profile_domain(self.voters, self.alternatives)
+        return _read_only(np.take(domain.rank_bits, self.outcome_ranks, axis=0))
+
+    @cached_property
+    def table_bits(self) -> np.ndarray:
+        """A pairwise rule's tables as one read-only [pairs, 2^m] uint8 array."""
+        return _read_only(np.array(self.tables, dtype=np.uint8).reshape(-1, 1 << self.voters))
 
     def is_total(self) -> bool:
+        """The rule decides every profile.  A pairwise rule does unless some
+        triple meets a cyclic pattern on one of its 6^m rows of voter
+        vectors, the search's nogood test; no profile is listed."""
+        if self.tables is not None:
+            return _acyclic(self.voters, self.alternatives, self.table_bits)
         return bool((self.outcome_ranks >= 0).all())
 
     def as_table(self) -> "VotingRule":
@@ -238,12 +315,17 @@ def _rule_from_ranks(m: int, n: int, ranks: np.ndarray) -> VotingRule:
     The rule keeps ranks, made read-only, as its outcome_ranks: they are in
     place before __init__ runs, so __post_init__ checks the entry count but
     does not rank the outcomes again."""
-    orders = (*enumerate_orders(n), None)  # index -1 reads the None
-    ranks.flags.writeable = False
     rule = object.__new__(VotingRule)
-    rule.__dict__["outcome_ranks"] = ranks
-    rule.__init__(m, n, outcomes=tuple(map(orders.__getitem__, ranks.tolist())))
+    rule.__dict__["outcome_ranks"] = _read_only(ranks)
+    rule.__init__(m, n, outcomes=tuple(_outcome_objects(n)[ranks].tolist()))
     return rule
+
+
+@lru_cache(maxsize=8)
+def _outcome_objects(n: int) -> np.ndarray:
+    """The n! orders, then None (read by rank -1), as one object array."""
+    orders = enumerate_orders(n)
+    return _read_only(np.fromiter((*orders, None), dtype=object, count=len(orders) + 1))
 
 
 def projection_rule(m: int, n: int, voter: int) -> VotingRule:
@@ -251,7 +333,7 @@ def projection_rule(m: int, n: int, voter: int) -> VotingRule:
     _check_table_size(m, n)  # before building 2^m entries; one alternative needs none
     if not 0 <= voter < m:
         raise ValueError(f"voter {voter} out of range for {m} voters")
-    table = tuple((v >> voter) & 1 for v in range(1 << m)) if n > 1 else ()
+    table = tuple(((np.arange(1 << m) >> voter) & 1).tolist()) if n > 1 else ()
     return VotingRule(m, n, tables=(table,) * len(alternative_pairs(n)))
 
 
@@ -286,7 +368,11 @@ def pairwise_majority_rule(m: int, n: int) -> VotingRule:
     outcome() raises IntransitiveOutcomeError.
     """
     _check_table_size(m, n)  # before building 2^m entries; one alternative needs none
-    table = tuple(int(bin(v).count("1") * 2 > m) for v in range(1 << m)) if n > 1 else ()
+    table = ()
+    if n > 1:
+        vectors = np.arange(1 << m)
+        votes = sum((vectors >> i) & 1 for i in range(m))
+        table = tuple((2 * votes > m).astype(int).tolist())
     return VotingRule(m, n, tables=(table,) * len(alternative_pairs(n)))
 
 
@@ -294,17 +380,21 @@ def pairwise_majority_rule(m: int, n: int) -> VotingRule:
 
 def check_pareto(rule: VotingRule):
     """(holds, witness): witness is the first decided (profile, a, b), in
-    profile then pair order, where a unanimous a-over-b is overridden."""
-    domain = profile_domain(rule.voters, rule.alternatives)
-    ranks, inputs = rule.outcome_ranks, domain.pair_inputs
-    bits = domain.ballot_bits[ranks]
-    full = (1 << rule.voters) - 1
-    overridden = (ranks >= 0)[:, None] & np.where(bits, inputs == 0, inputs == full)
-    if not overridden.any():
+    profile then pair order, where a unanimous a-over-b is overridden.
+
+    A pairwise rule whose every table maps the all-zero vector to 0 and the
+    all-one vector to 1 holds in closed form.  Otherwise only the cells
+    where the voters are unanimous are read."""
+    if rule.tables is not None and all(t[0] == 0 and t[-1] == 1 for t in rule.tables):
         return True, None
-    j, k = divmod(int(overridden.argmax()), overridden.shape[1])
+    domain = profile_domain(rule.voters, rule.alternatives)
+    cells, veto = domain.unanimous_cells
+    hits = np.flatnonzero(rule.outcome_bits.ravel()[cells] == veto)
+    if not hits.size:
+        return True, None
+    j, k = divmod(int(cells[hits[0]]), domain.ballot_bits.shape[1])
     a, b = alternative_pairs(rule.alternatives)[k]
-    if bits[j, k]:
+    if veto[hits[0]]:
         a, b = b, a
     return False, (domain.profile(j), a, b)
 
@@ -316,22 +406,32 @@ def check_iia(rule: VotingRule):
 
     A pairwise rule holds in closed form: at every profile it decides, its
     bit on pair k is tables[k][input_k], a function of the voters' vector
-    on that pair alone.  For table rules, profiles are grouped on their
-    per-pair voter vectors, so the scan is linear in the profile count
-    rather than quadratic.
+    on that pair alone.  A table rule's decided profiles are counted once
+    per (pair, voter vector, outcome bit), so every pair is decided by one
+    count; only the first pair where some vector meets both bits is
+    scanned for the witness.
     """
     if rule.tables is not None:
         return True, None
-    domain = profile_domain(rule.voters, rule.alternatives)
-    rows = np.flatnonzero(rule.outcome_ranks >= 0)
-    inputs, bits = domain.pair_inputs[rows], domain.ballot_bits[rule.outcome_ranks[rows]]
-    for k, (a, b) in enumerate(alternative_pairs(rule.alternatives)):
-        _, first, group = np.unique(inputs[:, k], return_index=True, return_inverse=True)
-        differs = bits[:, k] != bits[first[group], k]
-        if differs.any():
-            q = differs.argmax()
-            return False, (domain.profile(rows[first[group[q]]]), domain.profile(rows[q]), a, b)
-    return True, None
+    m = rule.voters
+    domain = profile_domain(m, rule.alternatives)
+    counted = domain.ballot_bits.shape[1] << (m + 1)
+    keys = domain.cell_keys + rule.outcome_bits
+    seen = np.zeros(2 * counted, dtype=bool)
+    seen[keys] = True  # a scatter casts its index in chunks, where bincount copies it whole
+    mixed = np.flatnonzero(seen[:counted].reshape(-1, 2).all(axis=1))  # k * 2^m + voter vector
+    if not mixed.size:
+        return True, None
+    k = int(mixed[0]) >> m
+    first = np.full(2 * counted, len(keys))  # each key's first profile, on pair k
+    np.minimum.at(first, keys[:, k], np.arange(len(keys)))
+    # per voter vector, its first profile with bit 0 and with bit 1: where
+    # both occur the later is the first whose outcome differs from the
+    # vector's first; where one is missing the max is len(keys)
+    ends = first[k << (m + 1):(k + 1) << (m + 1)].reshape(-1, 2)
+    p, q = sorted(ends[ends.max(axis=1).argmin()].tolist())
+    a, b = alternative_pairs(rule.alternatives)[k]
+    return False, (domain.profile(p), domain.profile(q), a, b)
 
 
 def check_ud(rule: VotingRule) -> bool:
@@ -342,16 +442,14 @@ def check_ud(rule: VotingRule) -> bool:
 def check_ud_triples(rule: VotingRule) -> bool:
     """Triple-restriction variant: every way the voters can rank any three
     alternatives is realized by some profile in the rule's domain.  Implied
-    by the full-domain check; meaningful for partial table rules."""
+    by the full-domain check; meaningful for partial table rules.  One
+    scatter of the decided profiles' triple_codes marks every way of
+    ranking every triple that occurs."""
     m, n = rule.voters, rule.alternatives
-    inputs = profile_domain(m, n).pair_inputs[rule.outcome_ranks >= 0]
-    k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
-    for x, y, z in combinations(range(n), 3):
-        # the voters' rankings of x, y, z are fixed by their three pair vectors
-        realized = np.unique(inputs[:, [k[x, y], k[x, z], k[y, z]]], axis=0)
-        if len(realized) < factorial(3) ** m:
-            return False
-    return len(inputs) > 0
+    codes = profile_domain(m, n).triple_codes[rule.outcome_ranks >= 0]
+    seen = np.zeros(codes.shape[1] * 6 ** m, dtype=bool)
+    seen[codes] = True
+    return len(codes) > 0 and bool(seen.all())
 
 
 def _copying_voters(rule: VotingRule) -> np.ndarray:
@@ -361,9 +459,18 @@ def _copying_voters(rule: VotingRule) -> np.ndarray:
     return ((ballots == ranks) | (ranks < 0)).all(axis=0)
 
 
+def _per_voter(rule: VotingRule, total: bool) -> np.ndarray:
+    """_copying_voters, read off the tables for a total pairwise rule: every
+    voter vector occurs on every pair, so a voter's ballot is the outcome
+    everywhere exactly when every table is that voter's projection."""
+    if rule.tables is not None and total:
+        return _projection_copies(rule.table_bits[None], rule.voters)[:, 0]
+    return _copying_voters(rule)
+
+
 def find_dictator(rule: VotingRule) -> Optional[int]:
     """Least voter whose ballot is the outcome at every decided profile."""
-    voters = np.flatnonzero(_copying_voters(rule))
+    voters = np.flatnonzero(_per_voter(rule, rule.is_total()))
     return int(voters[0]) if voters.size else None
 
 
@@ -409,7 +516,7 @@ def arrow_report(rule: VotingRule) -> ArrowReport:
     pareto, pw = check_pareto(rule)
     iia, iw = check_iia(rule)
     ud = check_ud(rule)
-    per_voter = tuple(_copying_voters(rule).tolist())
+    per_voter = tuple(_per_voter(rule, ud).tolist())
     dictator = per_voter.index(True) if True in per_voter else None
     return ArrowReport(pareto, pw, iia, iw, ud, dictator, per_voter)
 
@@ -447,21 +554,44 @@ class FairRules(Sequence):
                    for f in fields(self))
 
 
-def _cyclic_nogoods(m: int, n: int) -> np.ndarray:
-    """[C, 3] literals (2 * variable + value, variable = pair * 2^m + voter
-    vector) such that no fair rule makes all three of a row true: for each
-    triple x < y < z and each way the voters rank it, the two cyclic
-    outcomes x > y > z > x and x < y < z < x.  A voter's (xy, yz, xz) bits
-    are any pattern but the cyclic (1, 1, 0) and (0, 0, 1), so every triple
-    has the same 6^m rows of voter vectors: all combinations of the voters'
-    six patterns."""
+@lru_cache(maxsize=8)
+def _triple_vars(m: int, n: int) -> np.ndarray:
+    """[triples, 6^m, 3] variables pair * 2^m + voter vector on the pairs
+    (xy, yz, xz) of each triple x < y < z.  A voter's (xy, yz, xz) bits are
+    any pattern but the cyclic (1, 1, 0) and (0, 0, 1), so every triple has
+    the same 6^m rows of voter vectors: all combinations of the voters' six
+    patterns, voter 0 the most significant digit.  The rows are built one
+    voter at a time, so no [6^m, m, 3] array is made."""
     acyclic = np.array([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)])
-    patterns = acyclic[np.indices((6,) * m).reshape(m, -1).T]  # [6^m, voter, 3]
-    rows = (patterns << np.arange(m)[:, None]).sum(axis=1)
+    rows = np.zeros((1, 3), dtype=np.int64)
+    for i in range(m):
+        rows = (rows[:, None] | acyclic << i).reshape(-1, 3)
+    return _read_only(_triple_pairs(n)[:, None] * (1 << m) + rows)
+
+
+def _triple_pairs(n: int) -> np.ndarray:
+    """[triples, 3] indices of the pairs (xy, yz, xz) of each triple x < y < z."""
     k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
     triples = [(k[x, y], k[y, z], k[x, z]) for x, y, z in combinations(range(n), 3)]
-    var = np.array(triples, dtype=np.int64).reshape(-1, 1, 3) * (1 << m) + rows
+    return np.array(triples, dtype=np.int64).reshape(-1, 3)
+
+
+def _cyclic_nogoods(m: int, n: int) -> np.ndarray:
+    """[C, 3] literals (2 * variable + value) such that no fair rule makes
+    all three of a row true: for each triple and each of its _triple_vars
+    rows, the two cyclic outcomes x > y > z > x and x < y < z < x."""
+    var = _triple_vars(m, n)
     return np.stack([2 * var + (1, 1, 0), 2 * var + (0, 0, 1)], axis=1).reshape(-1, 3)
+
+
+def _acyclic(m: int, n: int, tables: np.ndarray) -> bool:
+    """The [pairs, 2^m] tables meet no cyclic outcome on any row of
+    _triple_vars, the search's nogoods, so the rule decides every profile."""
+    if n < 3:
+        return True
+    check_guard(comb(n, 3) * 6 ** m, MAX_PROFILES, "triple row count C(n,3)*6^m")
+    xy, yz, xz = np.take(tables, _triple_vars(m, n)).transpose(2, 0, 1)
+    return not ((xy == yz) & (yz != xz)).any()
 
 
 def _propagate(values: np.ndarray, var: np.ndarray, bit: np.ndarray) -> bool:
@@ -595,16 +725,12 @@ def verify_arrow(m: int, n: int) -> ArrowVerification:
     For n >= 3 every fair rule is a projection, so all_dictatorial comes
     out true; n = 2 admits non-dictatorial fair rules for m >= 2.
 
-    A fair rule is total and every voter vector occurs on every pair, so
-    voter i dictates exactly when every table equals voter i's projection
-    table.  Each rule's tables are packed, as one bit string, into words,
-    and one comparison of those words with the m projections' gives
+    A fair rule is total, so voter i dictates exactly when every table
+    equals voter i's projection table (_projection_copies), which gives
     find_dictator for every rule: a voter, or -1 where none copies.
     """
     rules = enumerate_fair_rules(m, n)
-    projections = (np.arange(1 << m) >> np.arange(m)[:, None]) & 1  # [voter, 2^m]
-    voters = _packed_words(np.repeat(projections[:, None], rules.tables.shape[1], axis=1))
-    copies = (_packed_words(rules.tables) == voters[:, None]).all(axis=2)  # [voter, rule]
+    copies = _projection_copies(rules.tables, m)
     first = np.full(len(rules), -1)
     for voter in reversed(range(m)):  # the least voter that copies writes last
         first[copies[voter]] = voter
@@ -612,6 +738,21 @@ def verify_arrow(m: int, n: int) -> ArrowVerification:
     dictated = first >= 0
     dictators = tuple(np.unique(first[dictated]).tolist())
     return ArrowVerification(m, n, len(rules), bool(dictated.all()), dictators, per_rule, rules)
+
+
+def _projection_copies(tables: np.ndarray, m: int) -> np.ndarray:
+    """[voter, rule]: every table of the rule, [rules, pairs, 2^m] bits, is
+    the voter's projection, bit v = (v >> voter) & 1.  Each rule's tables
+    are packed, as one bit string, into words, and one comparison with the
+    m projections' words decides every voter and rule."""
+    return (_packed_words(tables) == _projection_words(m, tables.shape[1])[:, None]).all(axis=2)
+
+
+@lru_cache(maxsize=8)
+def _projection_words(m: int, npairs: int) -> np.ndarray:
+    """_packed_words of each voter's projection on every one of npairs pairs."""
+    projections = (np.arange(1 << m) >> np.arange(m)[:, None]) & 1  # [voter, 2^m]
+    return _read_only(_packed_words(np.repeat(projections[:, None], npairs, axis=1)))
 
 
 def _packed_words(tables: np.ndarray) -> np.ndarray:
@@ -652,11 +793,12 @@ def classical_circuit_table(rule: VotingRule, d: Optional[int] = None) -> np.nda
     if d < nballots:
         raise ValueError(f"register size {d} cannot hold {nballots} ballots")
     check_circuit_size(m, d)
-    if not rule.is_total():
+    ranks = rule.outcome_ranks  # the table reads them, so they decide totality too
+    if (ranks < 0).any():
         raise ValueError("circuit table needs a total rule")
 
     shifts = np.zeros(d ** m, dtype=np.int64)
-    shifts[profile_domain(m, n).flat_index(d)] = rule.outcome_ranks
+    shifts[profile_domain(m, n).flat_index(d)] = ranks
     block = np.arange(d ** m, dtype=np.int64)
     ancilla = np.arange(d, dtype=np.int64)[:, None]
     # a bijection by construction: each block's ancilla column is a cyclic shift

@@ -7,7 +7,7 @@ functions.
 """
 
 from functools import reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial
 
 import numpy as np
@@ -230,6 +230,25 @@ def first_iia_violation(outcomes, profiles, n):
             elif first[key][1] != bit:
                 return (first[key][0], profile, a, b)
     return None
+
+
+def copying_voters(outcomes, profiles, m):
+    """Per voter: its ballot is the outcome at every profile whose outcome
+    is not None."""
+    return tuple(all(out is None or out == profile[i] for profile, out in zip(profiles, outcomes))
+                 for i in range(m))
+
+
+def realizes_every_triple(outcomes, profiles, n):
+    """Some profile has an outcome, and for every triple x < y < z each of
+    the 6^m ways the voters can rank it occurs at a profile that has one."""
+    decided = [profile for profile, out in zip(profiles, outcomes) if out is not None]
+    for triple in combinations(range(n), 3):
+        ways = {tuple(tuple(a for a in ballot if a in triple) for ballot in profile)
+                for profile in decided}
+        if len(ways) < 6 ** len(profiles[0]):
+            return False
+    return bool(decided)
 
 
 def table_rule_per_entry(m, n, entries):

@@ -297,11 +297,23 @@ def test_ud_checks():
     table = borda_rule(2, 3).as_table()
     assert check_ud(table)
     assert check_ud_triples(table)
-    outcomes = list(table.outcomes)
-    outcomes[0] = None
-    partial = VotingRule(2, 3, outcomes=tuple(outcomes))
-    assert not check_ud(partial)
-    assert not check_ud_triples(partial)
+    # at (2, 3) each profile is one of the triple's 36 patterns: dropping the
+    # first or the last profile misses exactly one, the lowest or highest code
+    for j in (0, 35):
+        outcomes = list(table.outcomes)
+        outcomes[j] = None
+        partial = VotingRule(2, 3, outcomes=tuple(outcomes))
+        assert not check_ud(partial)
+        assert not check_ud_triples(partial)
+    # at (2, 4) the four triples are told apart: leave undecided every profile
+    # where both voters rank 0 > 1 > 2, and only the first triple misses a way
+    profiles = list(all_profiles(2, 4))
+    borda = borda_rule(2, 4).outcomes
+    outcomes = [None if all(b.index(0) < b.index(1) < b.index(2) for b in profile) else out
+                for profile, out in zip(profiles, borda)]
+    assert not oracles.realizes_every_triple(outcomes, profiles, 4)
+    assert not check_ud_triples(VotingRule(2, 4, outcomes=tuple(outcomes)))
+    assert check_ud_triples(VotingRule(2, 4, outcomes=(None, *borda[1:])))
 
 
 def test_cyclic_pairwise_rule_is_not_total():
@@ -348,7 +360,7 @@ def test_arrow_report_scans_for_copying_voters_once(monkeypatch):
     rules = projection_rule(3, 2, 2), borda_rule(2, 3), constant_rule(2, 3, (2, 0, 1))
     monkeypatch.setattr(social_choice, "_copying_voters", counted)
     reports = [arrow_report(rule) for rule in rules]
-    assert calls == list(rules)
+    assert calls == list(rules[1:])  # the total pairwise projection is read off its tables
     monkeypatch.undo()
     assert [r.dictator for r in reports] == [find_dictator(rule) for rule in rules] == [2, None, None]
     assert [r.per_voter for r in reports] == [(False, False, True), (False, False), (False, False)]
@@ -422,6 +434,107 @@ def test_partial_table_witnesses_skip_undecided_profiles():
     _, iw = check_iia(VotingRule(2, 3, outcomes=tuple(outcomes)))
     assert pw == oracles.first_pareto_violation(outcomes, profiles, 3)
     assert iw == oracles.first_iia_violation(outcomes, profiles, 3)
+
+
+@st.composite
+def table_rules(draw):
+    """Total or partial (2, 3) and (3, 3) table rules: a copying voter's
+    table or random rankings, with a few entries replaced or undecided."""
+    m, n = draw(st.sampled_from([(2, 3), (3, 3)]))
+    orders = oracles.all_rankings(n)
+    profiles = list(product(orders, repeat=m))
+    base = draw(st.sampled_from(["copy", "total", "partial"]))
+    if base == "copy":
+        voter = draw(st.integers(0, m - 1))
+        outcomes = [profile[voter] for profile in profiles]
+    else:
+        entries = st.sampled_from(orders if base == "total" else [*orders, None])
+        outcomes = draw(st.lists(entries, min_size=len(profiles), max_size=len(profiles)))
+    edits = st.dictionaries(st.integers(0, len(profiles) - 1), st.sampled_from([*orders, None]),
+                            max_size=4)
+    for j, out in draw(edits).items():
+        outcomes[j] = out
+    return VotingRule(m, n, outcomes=tuple(outcomes))
+
+
+@settings(max_examples=80, deadline=None)
+@given(table_rules())
+@example(borda_rule(2, 3))
+@example(borda_rule(3, 3))
+@example(anti_projection_rule(3, 3, 1))
+@example(perturbed_dictator(3, 3, 2, [0]))  # both witnesses at the first profile
+@example(perturbed_dictator(3, 3, 0, [215]))  # and at the last
+@example(perturbed_dictator(2, 3, 1, [34]))
+def test_arrow_report_matches_the_plain_loop_oracles(rule):
+    m, n = rule.voters, rule.alternatives
+    profiles = list(product(oracles.all_rankings(n), repeat=m))
+    pw = oracles.first_pareto_violation(rule.outcomes, profiles, n)
+    iw = oracles.first_iia_violation(rule.outcomes, profiles, n)
+    per_voter = oracles.copying_voters(rule.outcomes, profiles, m)
+    report = arrow_report(rule)
+    assert (report.pareto, report.pareto_witness) == (pw is None, pw)
+    assert (report.iia, report.iia_witness) == (iw is None, iw)
+    assert report.ud == (None not in rule.outcomes)
+    assert report.per_voter == per_voter
+    assert report.dictator == (per_voter.index(True) if True in per_voter else None)
+    assert check_ud_triples(rule) == oracles.realizes_every_triple(rule.outcomes, profiles, n)
+
+
+@st.composite
+def pairwise_rules(draw):
+    """Random (2, 3), (3, 3) and (2, 4) pair tables, cyclic ones included;
+    half of them respect unanimity, so Pareto holds in closed form."""
+    m, n = draw(st.sampled_from([(2, 3), (3, 3), (2, 4)]))
+    table = st.lists(st.integers(0, 1), min_size=1 << m, max_size=1 << m)
+    tables = draw(st.lists(table, min_size=len(alternative_pairs(n)),
+                           max_size=len(alternative_pairs(n))))
+    if draw(st.booleans()):
+        tables = [[0, *t[1:-1], 1] for t in tables]
+    return VotingRule(m, n, tables=tuple(map(tuple, tables)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(pairwise_rules())
+@example(projection_rule(3, 3, 1))
+@example(pairwise_majority_rule(3, 3))  # cycles on twelve profiles
+@example(VotingRule(2, 4, tables=((0, 1, 1, 1),) * 6))  # Pareto, but cycles
+@example(VotingRule(2, 3, tables=((1, 0, 1, 0),) * 3))  # reverses voter 0: total, no dictator
+@example(VotingRule(2, 3, tables=((0, 0, 0, 0),) * 3))  # constant
+@example(VotingRule(2, 3, tables=((0,) * 4, (1,) * 4, (0,) * 4)))  # cycles everywhere: all copy
+def test_pairwise_closed_forms_match_the_table_scan(rule):
+    table = rule.as_table()
+    assert arrow_report(rule) == arrow_report(table)
+    assert find_dictator(rule) == find_dictator(table)
+
+
+@pytest.mark.parametrize("m, n", [(3, 5), (4, 5), (4, 8)])
+def test_fair_rules_past_the_profile_guard_are_audited_without_a_domain(monkeypatch, m, n):
+    def refuse(*args):
+        raise AssertionError("the audit built a profile domain")
+
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    with pytest.raises(SizeLimitError, match=r"^profile count \(n!\)\^m"):
+        social_choice.ProfileDomain(m, n)
+    v = verify_arrow(m, n)
+    monkeypatch.setattr(social_choice, "profile_domain", refuse)
+    for rule, voter in zip(v.rules, v.rule_dictators):
+        per_voter = tuple(i == voter for i in range(m))
+        assert arrow_report(rule) == social_choice.ArrowReport(
+            True, None, True, None, True, voter, per_voter)
+        assert find_dictator(rule) == voter
+    assert len(v.rules) == m
+
+
+def test_pairwise_totality_takes_the_triple_row_guard(monkeypatch):
+    # 6^8 = 1,679,616 rows of one triple, where the profile domain would list 6^8 profiles
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    rule = projection_rule(8, 3, 0)
+    message = r"^triple row count C\(n,3\)\*6\^m = 1679616 exceeds"
+    with pytest.raises(SizeLimitError, match=message):
+        rule.is_total()
+    with pytest.raises(SizeLimitError, match=message):
+        arrow_report(rule)
+    assert projection_rule(7, 3, 0).is_total()  # 6^7 = 279,936 rows
 
 
 # ---- exhaustive enumeration against the independent oracle ----
@@ -570,6 +683,10 @@ def test_single_alternative_fair_rule_is_pairwise():
 def test_batched_dictators_match_find_dictator(m, n):
     v = verify_arrow(m, n)
     assert v.rule_dictators == tuple(find_dictator(rule) for rule in v.rules)
+    # find_dictator reads a total pairwise rule's tables as verify_arrow does;
+    # the profile scan is the independent check
+    scanned = [np.flatnonzero(social_choice._copying_voters(rule)) for rule in v.rules]
+    assert v.rule_dictators == tuple(int(s[0]) if s.size else None for s in scanned)
 
 
 def test_verify_arrow_42_stays_within_its_working_set():
@@ -854,6 +971,23 @@ def test_rule_builders_guard_the_table_size(monkeypatch, build):
     finally:
         tracemalloc.stop()
     assert elapsed < 0.1 and peak < 1 << 20
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_rule_builders_tabulate_their_aggregators(m):
+    votes = [bin(v).count("1") for v in range(1 << m)]
+    assert pairwise_majority_rule(m, 3).tables == (tuple(int(2 * c > m) for c in votes),) * 3
+    for voter in range(m):
+        want = tuple((v >> voter) & 1 for v in range(1 << m))
+        assert projection_rule(m, 3, voter).tables == (want,) * 3
+
+
+@pytest.mark.parametrize("table", [
+    (0, 2), (0, -1), (0, 0.5), (0, "1"), (0, None), (0, [1]), (0, float("nan")), (0, 1, 1),
+], ids=["2", "-1", "half", "str", "none", "list", "nan", "long"])
+def test_pair_tables_accept_only_bits(table):
+    with pytest.raises(ValueError, match=re.escape("each table needs 2^m bits")):
+        VotingRule(1, 2, tables=(table,))
 
 
 def test_rule_builders_admit_the_largest_guarded_table(monkeypatch):
