@@ -72,9 +72,9 @@ class ProfileDomain:
     pair_inputs[j, k]: pair_input of profile j on the k-th alternative pair.
     ballot_bits[r, k]: ballot r ranks a above b, for the k-th pair (a, b).
 
-    The predicates' per-size data (rank_bits, cell_keys, unanimous_cells,
-    triple_codes) is built on first use, in the narrowest unsigned type, so
-    circuits and rule builders do not pay for it.
+    The predicates' per-size data (rank_bits, cell_keys, unanimous_cells)
+    is built on first use, in the narrowest unsigned type, so circuits and
+    rule builders do not pay for it.
     """
 
     def __init__(self, m: int, n: int):
@@ -127,20 +127,6 @@ class ProfileDomain:
         cells = np.flatnonzero((inputs == 0) | (inputs == full))
         veto = (inputs[cells] == 0).astype(self.rank_bits.dtype)
         return _read_only(cells.astype(np.min_scalar_type(inputs.size))), _read_only(veto)
-
-    @cached_property
-    def triple_codes(self) -> np.ndarray:
-        """[profiles, triples]: t * 6^m plus how the voters rank the t-th
-        triple x < y < z, one base-6 digit per voter (voter 0 most
-        significant); the digit numbers the six acyclic (xy, yz, xz) bit
-        patterns of one ballot."""
-        m, n = self.ballot_ranks.shape[1], len(self.orders[0])
-        triples = _triple_pairs(n)
-        # (xy, yz, xz) read as 4 xy + 2 yz + xz is never 6 or 1, the cyclic patterns
-        digit = np.array([0, 0, 1, 2, 3, 4, 0, 5])[self.ballot_bits[:, triples] @ np.array([4, 2, 1])]
-        codes = sum(digit[self.ballot_ranks[:, i]] * 6 ** (m - 1 - i) for i in range(m))
-        codes = codes + np.arange(len(triples)) * 6 ** m
-        return _read_only(codes.astype(np.min_scalar_type(len(triples) * 6 ** m)))
 
     def profile(self, j: int) -> Profile:
         return tuple(self.orders[r] for r in self.ballot_ranks[j])
@@ -442,14 +428,16 @@ def check_ud(rule: VotingRule) -> bool:
 def check_ud_triples(rule: VotingRule) -> bool:
     """Triple-restriction variant: every way the voters can rank any three
     alternatives is realized by some profile in the rule's domain.  Implied
-    by the full-domain check; meaningful for partial table rules.  One
-    scatter of the decided profiles' triple_codes marks every way of
-    ranking every triple that occurs."""
+    by the full-domain check; meaningful for partial table rules."""
     m, n = rule.voters, rule.alternatives
-    codes = profile_domain(m, n).triple_codes[rule.outcome_ranks >= 0]
-    seen = np.zeros(codes.shape[1] * 6 ** m, dtype=bool)
-    seen[codes] = True
-    return len(codes) > 0 and bool(seen.all())
+    inputs = profile_domain(m, n).pair_inputs[rule.outcome_ranks >= 0]
+    k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
+    for x, y, z in combinations(range(n), 3):
+        # the voters' rankings of x, y, z are fixed by their three pair vectors
+        realized = np.unique(inputs[:, [k[x, y], k[x, z], k[y, z]]], axis=0)
+        if len(realized) < factorial(3) ** m:
+            return False
+    return len(inputs) > 0
 
 
 def _copying_voters(rule: VotingRule) -> np.ndarray:
@@ -557,30 +545,27 @@ class FairRules(Sequence):
 @lru_cache(maxsize=8)
 def _triple_vars(m: int, n: int) -> np.ndarray:
     """[triples, 6^m, 3] variables pair * 2^m + voter vector on the pairs
-    (xy, yz, xz) of each triple x < y < z.  A voter's (xy, yz, xz) bits are
-    any pattern but the cyclic (1, 1, 0) and (0, 0, 1), so every triple has
-    the same 6^m rows of voter vectors: all combinations of the voters' six
-    patterns, voter 0 the most significant digit.  The rows are built one
-    voter at a time, so no [6^m, m, 3] array is made."""
-    acyclic = np.array([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)])
-    rows = np.zeros((1, 3), dtype=np.int64)
+    (xy, yz, xz) of each triple x < y < z, in the narrowest unsigned type.
+    A voter's (xy, yz, xz) bits are any pattern but the cyclic (1, 1, 0)
+    and (0, 0, 1), so every triple has the same 6^m rows of voter vectors:
+    all combinations of the voters' six patterns, voter 0 the most
+    significant digit.  The rows are built one voter at a time, so no
+    [6^m, m, 3] array is made."""
+    k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
+    dtype = np.min_scalar_type((len(k) << m) - 1)
+    triples = [(k[x, y], k[y, z], k[x, z]) for x, y, z in combinations(range(n), 3)]
+    acyclic = np.array([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)], dtype=dtype)
+    rows = np.zeros((1, 3), dtype=dtype)
     for i in range(m):
         rows = (rows[:, None] | acyclic << i).reshape(-1, 3)
-    return _read_only(_triple_pairs(n)[:, None] * (1 << m) + rows)
-
-
-def _triple_pairs(n: int) -> np.ndarray:
-    """[triples, 3] indices of the pairs (xy, yz, xz) of each triple x < y < z."""
-    k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
-    triples = [(k[x, y], k[y, z], k[x, z]) for x, y, z in combinations(range(n), 3)]
-    return np.array(triples, dtype=np.int64).reshape(-1, 3)
+    return _read_only((np.array(triples, dtype=dtype).reshape(-1, 1, 3) << m) + rows)
 
 
 def _cyclic_nogoods(m: int, n: int) -> np.ndarray:
     """[C, 3] literals (2 * variable + value) such that no fair rule makes
     all three of a row true: for each triple and each of its _triple_vars
     rows, the two cyclic outcomes x > y > z > x and x < y < z < x."""
-    var = _triple_vars(m, n)
+    var = _triple_vars(m, n).astype(np.int64)
     return np.stack([2 * var + (1, 1, 0), 2 * var + (0, 0, 1)], axis=1).reshape(-1, 3)
 
 
@@ -590,7 +575,8 @@ def _acyclic(m: int, n: int, tables: np.ndarray) -> bool:
     if n < 3:
         return True
     check_guard(comb(n, 3) * 6 ** m, MAX_PROFILES, "triple row count C(n,3)*6^m")
-    xy, yz, xz = np.take(tables, _triple_vars(m, n)).transpose(2, 0, 1)
+    # indexing casts the narrow rows to intp in chunks, where np.take copies them whole
+    xy, yz, xz = tables.ravel()[_triple_vars(m, n)].transpose(2, 0, 1)
     return not ((xy == yz) & (yz != xz)).any()
 
 

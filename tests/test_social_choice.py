@@ -298,7 +298,7 @@ def test_ud_checks():
     assert check_ud(table)
     assert check_ud_triples(table)
     # at (2, 3) each profile is one of the triple's 36 patterns: dropping the
-    # first or the last profile misses exactly one, the lowest or highest code
+    # first or the last profile misses exactly one way of ranking the triple
     for j in (0, 35):
         outcomes = list(table.outcomes)
         outcomes[j] = None
