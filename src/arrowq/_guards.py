@@ -44,15 +44,16 @@ def check_guard(value: int, base_limit: int, what: str) -> None:
         raise SizeLimitError(_exceeds(what, value, limit))
 
 
-def check_power_guard(base: int, exponent: int, base_limit: int, what: str) -> None:
-    """check_guard(base ** exponent, base_limit, what), without building a
-    power past the limit: once the exponent exceeds the limit's bit length,
-    base ** exponent >= 2 ** exponent > limit, and the message names the
-    power instead of printing it."""
+def check_power_guard(base: int, exponent: int, base_limit: int, what: str, factor: int = 1) -> None:
+    """check_guard(factor * base ** exponent, base_limit, what) for a factor
+    >= 1, without building a power past the limit: once the exponent
+    exceeds the limit's bit length, the value >= 2 ** exponent > limit, and
+    the message names the power instead of printing it."""
     limit = base_limit * guard_multiplier()
     if base > 1 and exponent > limit.bit_length():
-        raise SizeLimitError(_exceeds(what, f"{base}^{exponent}", limit))
-    check_guard(base ** exponent, base_limit, what)
+        power = f"{base}^{exponent}" if factor == 1 else f"{factor}*{base}^{exponent}"
+        raise SizeLimitError(_exceeds(what, power, limit))
+    check_guard(factor * base ** exponent, base_limit, what)
 
 
 def _exceeds(what: str, value, limit: int) -> str:

@@ -168,7 +168,10 @@ def _emit(report: dict, output: str):
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # json's parser recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 # ---- subcommand bodies: each returns (config, results, passed) ----

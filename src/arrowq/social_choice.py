@@ -431,11 +431,9 @@ def check_ud_triples(rule: VotingRule) -> bool:
     by the full-domain check; meaningful for partial table rules."""
     m, n = rule.voters, rule.alternatives
     inputs = profile_domain(m, n).pair_inputs[rule.outcome_ranks >= 0]
-    k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
-    for x, y, z in combinations(range(n), 3):
-        # the voters' rankings of x, y, z are fixed by their three pair vectors
-        realized = np.unique(inputs[:, [k[x, y], k[x, z], k[y, z]]], axis=0)
-        if len(realized) < factorial(3) ** m:
+    # row 0 of each triple holds pair << m; the voters' vectors on the pairs fix their rankings
+    for pairs in _triple_rows(m, n)[:, 0] >> m:
+        if len(np.unique(inputs[:, pairs], axis=0)) < 6 ** m:
             return False
     return len(inputs) > 0
 
@@ -542,15 +540,20 @@ class FairRules(Sequence):
                    for f in fields(self))
 
 
+def _triple_rows(m: int, n: int) -> np.ndarray:
+    """_triple_vars behind its guard, which the cache must not skip."""
+    check_power_guard(6, m, MAX_PROFILES, "triple row count C(n,3)*6^m", comb(n, 3))
+    return _triple_vars(m, n)
+
+
 @lru_cache(maxsize=8)
 def _triple_vars(m: int, n: int) -> np.ndarray:
     """[triples, 6^m, 3] variables pair * 2^m + voter vector on the pairs
-    (xy, yz, xz) of each triple x < y < z, in the narrowest unsigned type.
-    A voter's (xy, yz, xz) bits are any pattern but the cyclic (1, 1, 0)
-    and (0, 0, 1), so every triple has the same 6^m rows of voter vectors:
-    all combinations of the voters' six patterns, voter 0 the most
-    significant digit.  The rows are built one voter at a time, so no
-    [6^m, m, 3] array is made."""
+    (xy, yz, xz) of each triple x < y < z, in the narrowest unsigned type:
+    the search's nogoods.  A voter's bits are any pattern but the cyclic
+    (1, 1, 0) and (0, 0, 1), so every triple has the same 6^m rows of voter
+    vectors: all combinations of the voters' six patterns, voter 0 the most
+    significant digit, built one voter at a time (no [6^m, m, 3] array)."""
     k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
     dtype = np.min_scalar_type((len(k) << m) - 1)
     triples = [(k[x, y], k[y, z], k[x, z]) for x, y, z in combinations(range(n), 3)]
@@ -561,22 +564,13 @@ def _triple_vars(m: int, n: int) -> np.ndarray:
     return _read_only((np.array(triples, dtype=dtype).reshape(-1, 1, 3) << m) + rows)
 
 
-def _cyclic_nogoods(m: int, n: int) -> np.ndarray:
-    """[C, 3] literals (2 * variable + value) such that no fair rule makes
-    all three of a row true: for each triple and each of its _triple_vars
-    rows, the two cyclic outcomes x > y > z > x and x < y < z < x."""
-    var = _triple_vars(m, n).astype(np.int64)
-    return np.stack([2 * var + (1, 1, 0), 2 * var + (0, 0, 1)], axis=1).reshape(-1, 3)
-
-
 def _acyclic(m: int, n: int, tables: np.ndarray) -> bool:
     """The [pairs, 2^m] tables meet no cyclic outcome on any row of
-    _triple_vars, the search's nogoods, so the rule decides every profile."""
+    _triple_rows, the search's nogoods, so the rule decides every profile."""
     if n < 3:
         return True
-    check_guard(comb(n, 3) * 6 ** m, MAX_PROFILES, "triple row count C(n,3)*6^m")
     # indexing casts the narrow rows to intp in chunks, where np.take copies them whole
-    xy, yz, xz = tables.ravel()[_triple_vars(m, n)].transpose(2, 0, 1)
+    xy, yz, xz = tables.ravel()[_triple_rows(m, n)].transpose(2, 0, 1)
     return not ((xy == yz) & (yz != xz)).any()
 
 
@@ -621,14 +615,17 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     significant, by unpacking the bits of a row counter stored big-endian
     in the narrowest unsigned type.
 
-    Otherwise every variable lies in some nogood.  The search branches on
-    the lowest unassigned variable, 0 before 1, and sets every variable the
-    clauses then force (unit propagation), so the rules come out in table
-    order.  Each branch value propagates on a copy of its parent's
-    assignment, so nothing is undone.
+    Otherwise every variable lies in a nogood, a _triple_vars row read once
+    per cyclic outcome.  The search branches on the lowest unassigned
+    variable, 0 before 1, and sets every variable the clauses then force
+    (unit propagation), so the rules come out in table order.  Each branch
+    propagates on a copy of its parent's assignment: nothing is undone.
     """
     check_rule_size(m, n)
-    check_power_guard(2, m, 16, "profile bit-vector size 2^m")
+    if n < 3:  # at most 16,384 rules
+        check_power_guard(2, m, 16, "profile bit-vector size 2^m")
+    else:  # [3, C] nogoods: a sweep sums three contiguous rows
+        var = np.tile(_triple_rows(m, n).reshape(-1, 3).T, 2)
     size, npairs = 1 << m, len(alternative_pairs(n))
 
     # unanimity: x[k][0] = 0 and x[k][2^m - 1] = 1
@@ -645,11 +642,9 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
         return FairRules(m, n, rows.reshape(len(rows), npairs, size),
                          2 * npairs, 0, 2 * npairs, 0)
 
-    nogoods = _cyclic_nogoods(m, n)
-    literals = nogoods.T.copy()  # [3, C]: a sweep sums three contiguous rows
-    var, bit = literals >> 1, (literals & 1).astype(np.int8)
+    bit = np.repeat(np.int8([[1, 0], [1, 0], [0, 1]]), var.shape[1] // 2, axis=1)
     _propagate(values, var, bit)
-    clauses = 2 * npairs + len(nogoods)
+    clauses = 2 * npairs + var.shape[1]
     decisions, propagations, conflicts = 0, int((values >= 0).sum()), 0
 
     rules = []

@@ -166,11 +166,14 @@ def test_verify_arrow_one_voter_passes(n):
     assert report["results"]["fair_rule_count"] == 1
 
 
-def test_verify_arrow_guard_exits_two():
-    proc = run_cli("verify-arrow", "--voters", "5", "--alternatives", "3")
-    assert proc.returncode == 2
-    assert "size limit:" in proc.stderr
-    assert proc.stdout == ""
+def test_verify_arrow_guard_exits_two(monkeypatch):
+    # the first sizes past the C(n,3)*6^m triple-row guard
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    for m, n in ((8, 3), (7, 4), (6, 6)):
+        proc = run_cli("verify-arrow", "--voters", str(m), "--alternatives", str(n))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("size limit: triple row count C(n,3)*6^m = ")
+        assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -419,6 +422,19 @@ def test_bell_bad_scenario_exits_two(tmp_path):
     path.write_text("{not json")
     proc = run_cli("bell", "--scenario", str(path))
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "subcommand, flag",
+    [("clone-test", "--rule"), ("bell", "--scenario"), ("ks-verify", "--instance")],
+)
+def test_deeply_nested_json_exits_two(tmp_path, subcommand, flag):
+    # json's parser recurses once per level and raises RecursionError
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    proc = run_cli(subcommand, flag, str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {path}: JSON nested too deeply to read\n"
 
 
 def test_bell_nan_axis_exits_two(tmp_path):

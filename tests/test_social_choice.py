@@ -507,7 +507,7 @@ def test_pairwise_closed_forms_match_the_table_scan(rule):
     assert find_dictator(rule) == find_dictator(table)
 
 
-@pytest.mark.parametrize("m, n", [(3, 5), (4, 5), (4, 8)])
+@pytest.mark.parametrize("m, n", [(3, 5), (4, 5), (4, 8), (6, 4)])
 def test_fair_rules_past_the_profile_guard_are_audited_without_a_domain(monkeypatch, m, n):
     def refuse(*args):
         raise AssertionError("the audit built a profile domain")
@@ -597,11 +597,34 @@ def test_verify_arrow_24_within_guard():
     assert v.all_dictatorial and v.fair_rule_count == 2
 
 
-def test_enumeration_guard():
-    with pytest.raises(SizeLimitError):
+def test_enumeration_guard(monkeypatch):
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    with pytest.raises(SizeLimitError, match="^alternative count"):
         enumerate_fair_rules(2, 9)
-    with pytest.raises(SizeLimitError):
-        enumerate_fair_rules(5, 3)
+    # n <= 2: at most 2^4 voter vectors, so 16,384 rules
+    with pytest.raises(SizeLimitError, match=r"^profile bit-vector size 2\^m"):
+        enumerate_fair_rules(5, 2)
+    # n >= 3: the first sizes past C(n,3)*6^m <= 2^19 triple rows
+    for (m, n), rows in (((8, 3), 1679616), ((7, 4), 1119744), ((6, 6), 933120)):
+        with pytest.raises(SizeLimitError, match=rf"^triple row count C\(n,3\)\*6\^m = {rows} "):
+            enumerate_fair_rules(m, n)
+
+
+def test_triple_rows_cached_under_an_override_keep_their_guard(monkeypatch):
+    # the guard is checked outside _triple_vars' cache: rows built while the
+    # override admits (6, 6) do not let the search or the audit past it later
+    rule = projection_rule(6, 6, 0)
+    monkeypatch.setenv(GUARD_ENV, "2")
+    assert rule.is_total()
+    monkeypatch.delenv(GUARD_ENV)
+    message = r"^triple row count C\(n,3\)\*6\^m = 933120 exceeds the size guard 524288 "
+    with pytest.raises(SizeLimitError, match=message):
+        projection_rule(6, 6, 0).is_total()
+    with pytest.raises(SizeLimitError, match=message):
+        enumerate_fair_rules(6, 6)
+    hits = social_choice._triple_vars.cache_info().hits
+    social_choice._triple_vars(6, 6)  # the rows are still cached
+    assert social_choice._triple_vars.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("override", [None, "1", "3", "1000"])
@@ -610,12 +633,12 @@ def test_power_guard_admits_what_the_built_power_admits(monkeypatch, override):
     if override is not None:
         monkeypatch.setenv(GUARD_ENV, override)
     limit = 16 * guard_multiplier()
-    for base, exponent in product(range(1, 9), range(-2, 41)):
-        if base ** exponent > limit:
+    for base, exponent, factor in product(range(1, 9), range(-2, 41), (1, 3)):
+        if factor * base ** exponent > limit:
             with pytest.raises(SizeLimitError, match="^size = "):
-                check_power_guard(base, exponent, 16, "size")
+                check_power_guard(base, exponent, 16, "size", factor)
         else:
-            check_power_guard(base, exponent, 16, "size")
+            check_power_guard(base, exponent, 16, "size", factor)
 
 
 def test_search_never_builds_a_profile_domain(monkeypatch):
@@ -623,10 +646,10 @@ def test_search_never_builds_a_profile_domain(monkeypatch):
         raise AssertionError("the search built a profile domain")
 
     monkeypatch.setattr(social_choice, "profile_domain", refuse)
-    for m, n in ((3, 4), (4, 3), (3, 5), (4, 5)):
+    for m, n in ((3, 4), (4, 3), (3, 5), (4, 5), (5, 3), (6, 4)):
         v = verify_arrow(m, n)
         assert v.all_dictatorial and v.dictators == tuple(range(m))
-    for m, n in ((2, 9), (5, 3)):
+    for m, n in ((2, 9), (5, 2), (8, 3)):
         with pytest.raises(SizeLimitError):
             enumerate_fair_rules(m, n)
 
@@ -634,19 +657,18 @@ def test_search_never_builds_a_profile_domain(monkeypatch):
 @pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 3), (4, 3), (2, 4), (3, 4), (2, 5)])
 def test_closed_form_nogoods_match_the_profile_domain(m, n):
     # the derivation the closed form replaced: per triple, the distinct
-    # (xy, yz, xz) rows of the domain's pair inputs
+    # (xy, yz, xz) rows of the domain's pair inputs, as variables
+    # pair * 2^m + voter vector; the search reads each cached row once per
+    # cyclic outcome
     inputs = profile_domain(m, n).pair_inputs.astype(np.int64)
     k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
-    want = []
-    for x, y, z in combinations(range(n), 3):
+    got = social_choice._triple_vars(m, n)
+    assert got.shape == (len(list(combinations(range(n), 3))), 6 ** m, 3)
+    for t, (x, y, z) in enumerate(combinations(range(n), 3)):
         cols = np.array([k[x, y], k[y, z], k[x, z]])
-        rows = np.unique(inputs[:, cols], axis=0)
-        assert len(rows) == 6 ** m
-        var = cols * (1 << m) + rows
-        want += [2 * var + (1, 1, 0), 2 * var + (0, 0, 1)]
-    got = social_choice._cyclic_nogoods(m, n)
-    assert len(got) == len(np.unique(got, axis=0))
-    assert np.array_equal(np.unique(got, axis=0), np.unique(np.concatenate(want), axis=0))
+        want = cols * (1 << m) + np.unique(inputs[:, cols], axis=0)
+        assert len(np.unique(got[t], axis=0)) == len(got[t])  # each row once
+        assert np.array_equal(np.unique(got[t], axis=0), want)
 
 
 def projection_tables(m, n):
@@ -657,7 +679,9 @@ def projection_tables(m, n):
     ]
 
 
-@pytest.mark.parametrize("m, n", [(3, 4), (4, 3), (2, 5), (3, 5), (4, 5), (4, 8)])
+@pytest.mark.parametrize(
+    "m, n", [(3, 4), (4, 3), (2, 5), (3, 5), (4, 5), (4, 8), (5, 3), (6, 3), (6, 4), (7, 3)]
+)
 def test_fair_rules_are_the_projections(m, n):
     assert [r.tables for r in enumerate_fair_rules(m, n)] == projection_tables(m, n)
 
@@ -703,6 +727,20 @@ def test_verify_arrow_42_stays_within_its_working_set():
     assert peak <= 1.2e6
 
 
+def test_verify_arrow_48_stays_within_its_working_set():
+    # the search reads the cached narrow triple rows as its 145,152 nogoods:
+    # 0.9 MB of uint16 variables and 0.4 MB of int8 bits, where the int64
+    # literals, their transposed copy and its decoding peaked at 14.4 MB
+    verify_arrow(4, 8)  # the rows are built and cached outside the measurement
+    tracemalloc.start()
+    try:
+        verify_arrow(4, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6
+
+
 # frozen: (clauses, decisions, propagations, conflicts).  Clauses are a
 # unit clause per table end and two nogoods per triple and per way the
 # voters rank it (6^m); m projections are m - 1 binary branch points, each
@@ -717,6 +755,8 @@ SEARCH_COUNTERS = {
     (3, 4): (1740, 4, 104, 0), (4, 4): (10380, 6, 294, 0),
     (2, 5): (740, 2, 58, 0), (3, 5): (4340, 4, 176, 0),
     (4, 5): (25940, 6, 494, 0), (4, 8): (145208, 6, 1394, 0),
+    (5, 3): (15558, 8, 382, 0), (6, 3): (93318, 10, 956, 0),
+    (6, 4): (373260, 10, 1922, 0), (7, 3): (559878, 12, 2298, 0),
 }
 
 
