@@ -283,7 +283,7 @@ class VotingRule:
         triple meets a cyclic pattern on one of its 6^m rows of voter
         vectors, the search's nogood test; no profile is listed."""
         if self.tables is not None:
-            return _acyclic(self.voters, self.alternatives, self.table_bits)
+            return self.alternatives < 3 or _acyclic(self.voters, self.alternatives, self.table_bits)
         return bool((self.outcome_ranks >= 0).all())
 
     def as_table(self) -> "VotingRule":
@@ -431,9 +431,11 @@ def check_ud_triples(rule: VotingRule) -> bool:
     by the full-domain check; meaningful for partial table rules."""
     m, n = rule.voters, rule.alternatives
     inputs = profile_domain(m, n).pair_inputs[rule.outcome_ranks >= 0]
-    # row 0 of each triple holds pair << m; the voters' vectors on the pairs fix their rankings
-    for pairs in _triple_rows(m, n)[:, 0] >> m:
-        if len(np.unique(inputs[:, pairs], axis=0)) < 6 ** m:
+    k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
+    for x, y, z in combinations(range(n), 3):
+        # the voters' rankings of x, y, z are fixed by their three pair vectors
+        realized = np.unique(inputs[:, [k[x, y], k[x, z], k[y, z]]], axis=0)
+        if len(realized) < factorial(3) ** m:
             return False
     return len(inputs) > 0
 
@@ -541,7 +543,7 @@ class FairRules(Sequence):
 
 
 def _triple_rows(m: int, n: int) -> np.ndarray:
-    """_triple_vars behind its guard, which the cache must not skip."""
+    """_triple_vars behind its guard, which the cache must not skip; n >= 3."""
     check_power_guard(6, m, MAX_PROFILES, "triple row count C(n,3)*6^m", comb(n, 3))
     return _triple_vars(m, n)
 
@@ -565,10 +567,8 @@ def _triple_vars(m: int, n: int) -> np.ndarray:
 
 
 def _acyclic(m: int, n: int, tables: np.ndarray) -> bool:
-    """The [pairs, 2^m] tables meet no cyclic outcome on any row of
-    _triple_rows, the search's nogoods, so the rule decides every profile."""
-    if n < 3:
-        return True
+    """The [pairs, 2^m] tables of n >= 3 alternatives meet no cyclic outcome
+    on any row of _triple_rows, the search's nogoods: the rule is total."""
     # indexing casts the narrow rows to intp in chunks, where np.take copies them whole
     xy, yz, xz = tables.ravel()[_triple_rows(m, n)].transpose(2, 0, 1)
     return not ((xy == yz) & (yz != xz)).any()

@@ -316,6 +316,20 @@ def test_ud_checks():
     assert check_ud_triples(VotingRule(2, 4, outcomes=(None, *borda[1:])))
 
 
+@pytest.mark.parametrize("m, n", [(12, 2), (25, 1)])
+def test_ud_triples_without_a_triple_reads_no_triple_rows(monkeypatch, m, n):
+    # below three alternatives there is no triple to realize: 6^m rows of
+    # voter vectors would be 2.2 million at m = 12 and past the guard at 25
+    def refuse(*args):
+        raise AssertionError("triple rows read without a triple")
+
+    monkeypatch.setattr(social_choice, "_triple_vars", refuse)
+    monkeypatch.setattr(social_choice, "_triple_rows", refuse)
+    rule = projection_rule(m, n, 0)
+    assert check_ud_triples(rule)
+    assert rule.is_total()
+
+
 def test_cyclic_pairwise_rule_is_not_total():
     # Condorcet profiles leave majority without a linear outcome
     majority = pairwise_majority_rule(3, 3)
