@@ -16,7 +16,7 @@ import sys
 import time
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from math import cos, factorial, inf, isfinite, pi, sin, sqrt
+from math import cos, inf, isfinite, pi, sin, sqrt
 from types import NoneType
 
 import numpy as np
@@ -39,8 +39,7 @@ from .hilbert import (
 )
 from .landauer import EnergyParams, voting_energy
 from .social_choice import (
-    check_circuit_size,
-    check_rule_size,
+    check_pairwise_size,
     projection_rule,
     rule_from_json_dict,
     verify_arrow,
@@ -201,8 +200,7 @@ def _run_clone_test(args):
     if args.rule is not None:
         rule = rule_from_json_dict(_load_json(args.rule))
     else:
-        check_rule_size(args.voters, args.alternatives)  # before n!
-        check_circuit_size(args.voters, factorial(args.alternatives))  # before 2^m-bit tables
+        check_pairwise_size(args.voters, args.alternatives)  # before n! and 2^m-bit tables
         rule = projection_rule(args.voters, args.alternatives, 0)
     m, n = rule.voters, rule.alternatives
     space = BallotSpace(n)
@@ -225,13 +223,13 @@ def _run_clone_test(args):
     }
 
     amps = np.zeros((len(thetas), space.d), dtype=complex)
-    amps[:, 0] = [cos(theta) for theta in thetas]
-    amps[:, 1] = [sin(theta) for theta in thetas]
+    amps[:, :2] = [(cos(theta), sin(theta)) for theta in thetas]
     fidelities = cloning_fidelities(circuit, voter, amps).tolist()
     predicted = [(cos(theta) ** 3 + sin(theta) ** 3) ** 2 for theta in thetas]
     formula_error = max(abs(f - p) for f, p in zip(fidelities, predicted))
 
-    basis_fid = cloning_fidelities(circuit, voter, np.eye(space.d)[:space.ballots]).tolist()
+    # basis ray k clones exactly when the circuit writes k into the ancilla
+    basis_fid = (rule.swept_ranks(voter) == np.arange(space.ballots)).astype(float).tolist()
     basis_ok = all(abs(f - 1.0) <= args.tolerance for f in basis_fid)
 
     results = {

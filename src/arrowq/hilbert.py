@@ -19,7 +19,7 @@ import numpy as np
 
 from ._guards import amplitudes_to_json, check_guard, json_amplitudes, json_ints
 from .orders import LinearOrder, order_rank, validate_order
-from .social_choice import VotingRule, classical_circuit_table, profile_domain, projection_rule
+from .social_choice import VotingRule, _per_voter, check_pairwise_size, projection_rule
 
 NORM_TOL = 1e-10
 # no_cloning_scan: a sample whose largest amplitude reaches 1 - BASIS_TOL is basis-like
@@ -104,55 +104,43 @@ def superpose(states: Sequence[PureState], amplitudes: Sequence[complex]) -> Pur
 
 @dataclass(frozen=True, eq=False)
 class UnitaryCircuit:
-    """Permutation unitary on (ancilla, voter_1..voter_m) registers.
-
-    perm[i] = j means the circuit maps basis state i to basis state j, so
-    the matrix has a 1 at (row j, column i).  Storing the permutation keeps
-    unitarity exact.
-    """
+    """Permutation unitary on (ancilla, voter_1..voter_m) registers, the
+    lift |a>|p> -> |a + rank(r(p)) mod d>|p> of a total rule where every
+    voter holds a ballot, the identity elsewhere.  It is stored as its rule
+    and read off it: nothing of size d^(m+1) is built."""
 
     space: BallotSpace
-    registers: int
-    perm: np.ndarray
+    rule: VotingRule
 
     def __post_init__(self):
-        if self.registers < 2:
-            raise ValueError("a circuit needs an ancilla and at least one voter register")
-        perm = np.asarray(self.perm, dtype=np.int64)
-        object.__setattr__(self, "perm", perm)
-        size = self.space.d ** self.registers
-        if not np.array_equal(np.sort(perm), np.arange(size)):
-            raise ValueError("transition table is not a permutation")
+        if self.rule.alternatives != self.space.n:
+            raise ValueError("rule and space disagree on the alternative count")
+        if self.rule.tables is not None:
+            check_pairwise_size(self.rule.voters, self.space.n)
+        if not self.rule.is_total():
+            raise ValueError("circuit table needs a total rule")
+
+    @property
+    def registers(self) -> int:
+        return self.rule.voters + 1
 
     @cached_property
     def copied_voters(self) -> frozenset[int]:
-        """Voters whose ballot index the circuit writes into the ancilla on
-        every ballot basis profile with ancilla 0."""
-        m, d = self.registers - 1, self.space.d
-        domain = profile_domain(m, self.space.n)
-        flat = domain.flat_index(d)
-        copies = (self.perm[flat] - flat)[:, None] == domain.ballot_ranks * d ** m
-        return frozenset(np.flatnonzero(copies.all(axis=0)).tolist())
+        """Voters whose ballot the circuit writes into ancilla 0 on every ballot profile."""
+        return frozenset(np.flatnonzero(_per_voter(self.rule, True)).tolist())
 
 
 def lift_rule_to_unitary(space: BallotSpace, rule: VotingRule) -> UnitaryCircuit:
-    """Permutation unitary acting as |0>|p^1..p^m> -> |rank(r(p))>|p^1..p^m>.
-
-    Register tuples holding non-ballot values (d > n!) pass through
-    unchanged; on superpositions the action extends linearly.
-    """
-    if rule.alternatives != space.n:
-        raise ValueError("rule and space disagree on the alternative count")
-    perm = classical_circuit_table(rule, d=space.d)
-    return UnitaryCircuit(space, rule.voters + 1, perm)
+    """The UnitaryCircuit |0>|p^1..p^m> -> |rank(r(p))>|p^1..p^m> of a total
+    rule, the identity on non-ballot values (d > n!), linear on superpositions."""
+    return UnitaryCircuit(space, rule)
 
 
 def is_dictatorial_circuit(circuit: UnitaryCircuit, voter: int) -> bool:
     """True iff on every ballot basis profile with ancilla 0 the circuit
     writes the chosen voter's ballot index into the ancilla."""
-    m = circuit.registers - 1
-    if not 0 <= voter < m:
-        raise ValueError(f"voter {voter} out of range for {m} registers")
+    if not 0 <= voter < circuit.rule.voters:
+        raise ValueError(f"voter {voter} out of range for {circuit.rule.voters} registers")
     return voter in circuit.copied_voters
 
 
@@ -173,37 +161,22 @@ def cloning_fidelities(
     untouched.  Requires a circuit that copies basis ballots for this voter,
     so any fidelity below 1 on a superposition is a genuine cloning failure.
 
-    The circuit is simulated on all K inputs at once.  Each input lives on
-    the d basis states b that sweep the voter register, so its image under
-    the permutation lives on perm[b].  A target on the ideal output's
-    support has ancilla a and voter value c, and F_k is
-    |sum_b conj(psi_k[a_b] psi_k[c_b]) psi_k[b]|^2; a target off that
-    support contributes 0.  Voter, fillers and shape are checked once, the
-    row norms as one array.
+    All K inputs are simulated at once on the d basis states b that sweep
+    the voter register: b goes to ancilla a_b, the rule's outcome rank (0
+    past n!), with b kept, so F_k = |sum_b conj(psi_k[a_b] psi_k[b])
+    psi_k[b]|^2.  Voter, fillers and shape are checked once.
     """
     if voter not in circuit.copied_voters:
         raise ValueError(f"circuit does not copy voter {voter} on basis profiles")
-    m = circuit.registers - 1
     d = circuit.space.d
     psi = np.asarray(amplitudes, dtype=complex)
     if psi.ndim != 2 or psi.shape[1] != d:
         raise ValueError(f"amplitudes must be rows of {d} entries, got shape {psi.shape}")
     if not (np.abs(np.linalg.norm(psi, axis=1) - 1.0) <= NORM_TOL).all():  # NaN fails too
         raise ValueError("state is not normalized")
-    if fillers is None:
-        fillers = [tuple(range(circuit.space.n))] * (m - 1)
-    if len(fillers) != m - 1:
-        raise ValueError(f"expected {m - 1} filler ballots")
-    digits = [order_rank(validate_order(f, circuit.space.n)) for f in fillers]
-    digits.insert(voter, 0)
-    # flat index of ancilla 0, the fillers, and each value of the voter register
-    base = sum(r * d ** (m - 1 - i) for i, r in enumerate(digits))
-    stride = d ** (m - 1 - voter)
-    ancilla, voters = np.divmod(circuit.perm[base + np.arange(d) * stride], d ** m)
-    value, misfit = np.divmod(voters - base, stride)
-    on_line = (misfit == 0) & (value >= 0) & (value < d)
-    a, c, b = ancilla[on_line], value[on_line], np.flatnonzero(on_line)
-    overlaps = (np.conj(psi[:, a] * psi[:, c]) * psi[:, b]).sum(axis=1)
+    a = np.pad(circuit.rule.swept_ranks(voter, fillers), (0, d - circuit.space.ballots))
+    rows = psi.T  # [d, K]: each overlap adds its d terms in b order, one row at a time
+    overlaps = (np.conj(rows[a] * rows) * rows).sum(axis=0)
     return np.abs(overlaps) ** 2
 
 

@@ -131,11 +131,6 @@ class ProfileDomain:
     def profile(self, j: int) -> Profile:
         return tuple(self.orders[r] for r in self.ballot_ranks[j])
 
-    def flat_index(self, d: int) -> np.ndarray:
-        """Each profile's ballot ranks read as base-d digits, voter 0 most
-        significant: the voter-register index of circuit tables."""
-        return self.ballot_ranks @ d ** np.arange(self.ballot_ranks.shape[1] - 1, -1, -1)
-
     def decode(self, bits: np.ndarray) -> np.ndarray:
         """Ballot rank of each row of pair bits (columns in pair order),
         -1 where the bits form a cyclic tournament."""
@@ -144,7 +139,14 @@ class ProfileDomain:
         return np.where(self._sorted_codes[at] == codes, self._code_order[at], -1)
 
 
-profile_domain = lru_cache(maxsize=8)(ProfileDomain)
+_domains = lru_cache(maxsize=8)(ProfileDomain)
+
+
+def profile_domain(m: int, n: int) -> ProfileDomain:
+    """The shared ProfileDomain(m, n), guarded on every call, cached or not."""
+    domain = _domains(m, n)
+    check_power_guard(len(domain.orders), m, MAX_PROFILES, "profile count (n!)^m")
+    return domain
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -160,6 +162,16 @@ def check_rule_size(m: int, n: int) -> None:
     if m < 1 or n < 1:
         raise ValueError("need at least one voter and one alternative")
     check_guard(n, MAX_ALTERNATIVES, "alternative count")
+
+
+def check_pairwise_size(m: int, n: int) -> None:
+    """check_rule_size, then the guard on a pairwise rule's triple rows from
+    three alternatives on (6^m > 2^m), else on its 2^m-entry tables."""
+    check_rule_size(m, n)
+    if n > 2:
+        check_power_guard(6, m, MAX_PROFILES, "triple row count C(n,3)*6^m", comb(n, 3))
+    elif n > 1:
+        check_power_guard(2, m, MAX_PROFILES, "pair table size 2^m")
 
 
 def _check_rule_entries(m: int, n: int) -> None:
@@ -277,6 +289,25 @@ class VotingRule:
     def table_bits(self) -> np.ndarray:
         """A pairwise rule's tables as one read-only [pairs, 2^m] uint8 array."""
         return _read_only(np.array(self.tables, dtype=np.uint8).reshape(-1, 1 << self.voters))
+
+    def swept_ranks(self, voter: int, fillers: Optional[Sequence[LinearOrder]] = None) -> np.ndarray:
+        """Outcome rank (-1: undecided) at the n! profiles where the voter's
+        ballot takes every rank and the others hold the filler ballots, in
+        voter order (default: the identity ranking); no other profile is read."""
+        m, n = self.voters, self.alternatives
+        if not 0 <= voter < m:
+            raise ValueError(f"voter {voter} out of range for {m} voters")
+        fillers = [tuple(range(n))] * (m - 1) if fillers is None else fillers
+        if len(fillers) != m - 1:
+            raise ValueError(f"expected {m - 1} filler ballots")
+        digits = [order_rank(validate_order(f, n)) for f in fillers]
+        digits.insert(voter, slice(None))
+        if self.tables is not None:
+            ballots = profile_domain(1, n)
+            bits = ballots.ballot_bits.astype(np.int64)  # [n!, pairs]
+            inputs = sum(bits[r] << i for i, r in enumerate(digits) if i != voter) + (bits << voter)
+            return ballots.decode(self.table_bits[np.arange(bits.shape[1]), inputs])
+        return self.outcome_ranks.reshape((factorial(n),) * m)[tuple(digits)]
 
     def is_total(self) -> bool:
         """The rule decides every profile.  A pairwise rule does unless some
@@ -544,7 +575,7 @@ class FairRules(Sequence):
 
 def _triple_rows(m: int, n: int) -> np.ndarray:
     """_triple_vars behind its guard, which the cache must not skip; n >= 3."""
-    check_power_guard(6, m, MAX_PROFILES, "triple row count C(n,3)*6^m", comb(n, 3))
+    check_pairwise_size(m, n)
     return _triple_vars(m, n)
 
 
@@ -732,8 +763,10 @@ def _projection_copies(tables: np.ndarray, m: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _projection_words(m: int, npairs: int) -> np.ndarray:
     """_packed_words of each voter's projection on every one of npairs pairs."""
-    projections = (np.arange(1 << m) >> np.arange(m)[:, None]) & 1  # [voter, 2^m]
-    return _read_only(_packed_words(np.repeat(projections[:, None], npairs, axis=1)))
+    bits = np.zeros((m, 1, npairs << m), dtype=np.uint8)
+    for i in range(m):  # runs of 2^i zeros, then 2^i ones: no [m, 2^m] int array
+        bits[i, 0].reshape(-1, 2, 1 << i)[:, 1] = 1
+    return _read_only(_packed_words(bits))
 
 
 def _packed_words(tables: np.ndarray) -> np.ndarray:
@@ -752,14 +785,10 @@ def _packed_words(tables: np.ndarray) -> np.ndarray:
 
 # ---- reversible circuit table ----
 
-def check_circuit_size(m: int, d: int) -> None:
-    """Size guard on the d^(m+1) register tuples of an ancilla and m voters."""
-    check_power_guard(d, m + 1, 4096, "circuit table size d^(m+1)")
-
-
 def classical_circuit_table(rule: VotingRule, d: Optional[int] = None) -> np.ndarray:
     """Permutation on flat indices of (ancilla, voter_1..voter_m) register
-    tuples, each register holding a value in 0..d-1.
+    tuples, each register holding a value in 0..d-1: the dense reference for
+    hilbert.UnitaryCircuit, which reads its entries off the rule.
 
     The ancilla advances by the rank of the outcome, modulo d, so the map
     is a bijection; at ancilla 0 it writes the outcome rank directly.
@@ -769,21 +798,20 @@ def classical_circuit_table(rule: VotingRule, d: Optional[int] = None) -> np.nda
     """
     m, n = rule.voters, rule.alternatives
     nballots = factorial(n)
-    if d is None:
-        d = nballots
+    d = nballots if d is None else d
     if d < nballots:
         raise ValueError(f"register size {d} cannot hold {nballots} ballots")
-    check_circuit_size(m, d)
+    check_power_guard(d, m + 1, 4096, "circuit table size d^(m+1)")
     ranks = rule.outcome_ranks  # the table reads them, so they decide totality too
     if (ranks < 0).any():
         raise ValueError("circuit table needs a total rule")
 
-    shifts = np.zeros(d ** m, dtype=np.int64)
-    shifts[profile_domain(m, n).flat_index(d)] = ranks
+    shifts = np.zeros((d,) * m, dtype=np.int64)  # one axis per voter register
+    shifts[(slice(nballots),) * m] = ranks.reshape((nballots,) * m)
     block = np.arange(d ** m, dtype=np.int64)
     ancilla = np.arange(d, dtype=np.int64)[:, None]
     # a bijection by construction: each block's ancilla column is a cyclic shift
-    return (((ancilla + shifts) % d) * d ** m + block).ravel()
+    return (((ancilla + shifts.ravel()) % d) * d ** m + block).ravel()
 
 
 # ---- JSON form ----

@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
-from math import inf, nan, sqrt
+from math import cos, factorial, inf, nan, pi, sin, sqrt
 from unittest import mock
 
 import numpy as np
@@ -333,15 +333,45 @@ def test_clone_test_tolerance_must_be_finite_and_nonnegative(tolerance):
 
 
 def test_clone_test_guards_the_circuit_before_building_the_rule(monkeypatch):
+    # a pairwise lift takes the search's triple-row guard, so clone-test
+    # refuses exactly the sizes verify-arrow refuses, with the same line;
+    # the default rule is not built first
     def refuse(*args):
         raise AssertionError("the default rule was built")
 
     monkeypatch.delenv(GUARD_ENV, raising=False)
     monkeypatch.setattr(cli, "projection_rule", refuse)
-    proc = run_cli("clone-test", "--voters", "30")
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("size limit: circuit table size d^(m+1) = ")
-    assert proc.stderr.count("\n") == 1
+    for m, n in [(8, 3), (7, 4), (6, 6), (30, 3)]:
+        size = ("--voters", str(m), "--alternatives", str(n))
+        proc, search = run_cli("clone-test", *size), run_cli("verify-arrow", *size)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("size limit: triple row count C(n,3)*6^m = ")
+        assert proc.stderr.count("\n") == 1
+        assert (search.returncode, search.stderr) == (2, proc.stderr)
+
+
+@pytest.mark.parametrize("m, n", [(4, 3), (2, 4), (3, 5), (4, 5), (4, 8), (6, 4), (7, 3)])
+def test_clone_test_passes_past_the_dense_table(tmp_path, monkeypatch, capsys, m, n):
+    # the lift reads the swept line off the rule: no d^(m+1) table, and
+    # no identity matrix for the basis rays
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense table was built")
+
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    verification = social_choice.verify_arrow(m, n)
+    path = tmp_path / "fair.json"
+    path.write_text(json.dumps(rule_to_json_dict(verification.rules[0])))
+    monkeypatch.setattr(social_choice, "classical_circuit_table", refuse)
+    monkeypatch.setattr(np, "eye", refuse)
+    thetas = [0.0, 0.3, pi / 4, 1.2, pi / 2]
+    for argv, voter in [(("--voters", str(m), "--alternatives", str(n)), 0),
+                        (("--rule", str(path)), verification.rule_dictators[0])]:
+        code, out, _ = run_main(capsys, "clone-test", "--theta", ",".join(map(repr, thetas)), *argv)
+        results = json.loads(out)["results"]
+        assert code == 0 and json.loads(out)["config"]["voter"] == voter
+        expected = [(cos(t) ** 3 + sin(t) ** 3) ** 2 for t in thetas]
+        assert np.abs(np.subtract(results["fidelity"], expected)).max() <= 1e-12
+        assert results["basis_fidelity"] == [1.0] * factorial(n) and results["basis_ok"]
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
-from math import cos, pi, sin
+from functools import reduce
+from math import cos, factorial, pi, sin
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from arrowq import SizeLimitError, hilbert
+from arrowq import SizeLimitError, social_choice
 from arrowq.hilbert import (
     BallotSpace,
     KSInstance,
@@ -25,7 +26,9 @@ from arrowq.hilbert import (
 )
 from arrowq.orders import enumerate_orders, order_rank
 from arrowq.social_choice import (
+    VotingRule,
     all_profiles,
+    classical_circuit_table,
     enumerate_fair_rules,
     find_dictator,
     pairwise_majority_rule,
@@ -111,23 +114,39 @@ def test_lift_is_a_permutation_unitary():
     circ = lift_rule_to_unitary(SPACE, projection_rule(2, 3, 0))
     # perm[i] = j puts a 1 at (row j, column i)
     mat = np.zeros((216, 216), dtype=complex)
-    mat[circ.perm, np.arange(216)] = 1.0
+    mat[classical_circuit_table(circ.rule, SPACE.d), np.arange(216)] = 1.0
     assert np.max(np.abs(mat.conj().T @ mat - np.eye(216))) < 1e-10
     assert set(np.unique(mat)) == {0, 1}
 
 
 def test_circuit_needs_a_voter_register():
-    with pytest.raises(ValueError, match="voter register"):
-        UnitaryCircuit(SPACE, 1, np.arange(6))
+    # a circuit is its rule's lift, and a rule has at least one voter
+    with pytest.raises(ValueError, match="at least one voter"):
+        VotingRule(0, 3, tables=((), (), ()))
+    assert lift_rule_to_unitary(SPACE, projection_rule(1, 3, 0)).registers == 2
+
+
+def test_circuit_holds_a_total_rule_of_its_space():
+    with pytest.raises(ValueError, match="disagree on the alternative count"):
+        UnitaryCircuit(BallotSpace(4), projection_rule(2, 3, 0))
+    with pytest.raises(ValueError, match="needs a total rule"):
+        UnitaryCircuit(SPACE, pairwise_majority_rule(3, 3))
+    holes = projection_rule(2, 3, 0).as_table()
+    holes = VotingRule(2, 3, outcomes=(None, *holes.outcomes[1:]))
+    with pytest.raises(ValueError, match="needs a total rule"):
+        UnitaryCircuit(SPACE, holes)
 
 
 def test_lift_action_on_basis_profiles():
     rule = projection_rule(2, 3, 0)
     circ = lift_rule_to_unitary(SPACE, rule)
-    for p in range(6):
-        for q in range(6):
+    perm = classical_circuit_table(rule)
+    for q, filler in enumerate(oracles.all_rankings(3)):
+        # the line voter 0 sweeps with voter 1 at ballot q
+        assert circ.rule.swept_ranks(0, [filler]).tolist() == list(range(6))
+        for p in range(6):
             flat = p * 6 + q
-            assert circ.perm[flat] == p * 36 + flat
+            assert perm[flat] == p * 36 + flat
 
 
 def test_lift_linearity_entangles_superposed_ballot():
@@ -135,7 +154,7 @@ def test_lift_linearity_entangles_superposed_ballot():
     amps = np.zeros(216, dtype=complex)
     amps[0 * 36 + 0 * 6 + 2] = 2 ** -0.5  # |0>|b0>|b2>
     amps[0 * 36 + 1 * 6 + 2] = 2 ** -0.5  # |0>|b1>|b2>
-    out = oracles.apply_permutation(circ.perm, amps)
+    out = oracles.apply_permutation(classical_circuit_table(circ.rule), amps)
     expected = np.zeros(216, dtype=complex)
     expected[0 * 36 + 0 * 6 + 2] = 2 ** -0.5
     expected[1 * 36 + 1 * 6 + 2] = 2 ** -0.5
@@ -148,21 +167,28 @@ def test_permutation_oracle_matches_cloning_fidelities():
     circuit = lift_rule_to_unitary(space, projection_rule(2, 3, voter))
     psi = _random_states(np.random.default_rng(5), 6, space.d)
     fidelities = cloning_fidelities(circuit, voter, psi, [oracles.all_rankings(3)[filler]])
-    ray = np.eye(space.d)
+    ray, perm = np.eye(space.d), classical_circuit_table(circuit.rule, space.d)
     for row, fidelity in zip(psi, fidelities):
-        out = oracles.apply_permutation(circuit.perm, np.kron(ray[0], np.kron(ray[filler], row)))
+        out = oracles.apply_permutation(perm, np.kron(ray[0], np.kron(ray[filler], row)))
         ideal = np.kron(row, np.kron(ray[filler], row))
         assert abs(abs(np.vdot(ideal, out)) ** 2 - fidelity) <= 1e-12
     assert fidelities.min() < 1 - 1e-6
 
 
 def test_lift_size_guard(monkeypatch):
+    # a pairwise lift takes the search's triple-row guard, C(n,3) * 6^m <= 2^19
     monkeypatch.delenv("ARROWQ_GUARD_OVERRIDE", raising=False)
-    with pytest.raises(SizeLimitError):
-        lift_rule_to_unitary(SPACE, projection_rule(4, 3, 0))
-    monkeypatch.setenv("ARROWQ_GUARD_OVERRIDE", "2")
-    circ = lift_rule_to_unitary(BallotSpace(2), projection_rule(4, 2, 0))
-    assert circ.perm.shape == (32,)
+    for m, n in [(8, 3), (7, 4), (6, 6)]:
+        rule = projection_rule(m, n, 0)
+        with pytest.raises(SizeLimitError, match=r"^triple row count C\(n,3\)\*6\^m = "):
+            lift_rule_to_unitary(BallotSpace(n), rule)
+    assert lift_rule_to_unitary(SPACE, projection_rule(7, 3, 6)).copied_voters == {6}
+    # at two alternatives there is no triple: the 2^m-entry tables take the guard
+    wide = VotingRule(20, 2, tables=((0, 1) * (1 << 19),))
+    with pytest.raises(SizeLimitError, match=r"^pair table size 2\^m = "):
+        lift_rule_to_unitary(BallotSpace(2), wide)
+    monkeypatch.setenv("ARROWQ_GUARD_OVERRIDE", "4")
+    assert lift_rule_to_unitary(SPACE, projection_rule(8, 3, 2)).copied_voters == {2}
 
 
 def test_is_dictatorial_circuit():
@@ -221,21 +247,42 @@ def test_cloning_requires_dictatorial_circuit():
         cloning_fidelity(maj, 0, basis_state(2, 0))
 
 
-def test_fidelities_on_one_circuit_scan_the_domain_once(monkeypatch):
-    circ = lift_rule_to_unitary(SPACE, projection_rule(2, 3, 1))
+def _count_domains(monkeypatch):
+    """The (m, n) of every profile_domain call with m >= 2 from here on."""
     scans = []
 
     def counted(m, n):
-        scans.append((m, n))
+        if m >= 2:
+            scans.append((m, n))
         return profile_domain(m, n)
 
-    monkeypatch.setattr(hilbert, "profile_domain", counted)
+    monkeypatch.setattr(social_choice, "profile_domain", counted)
+    return scans
+
+
+def test_fidelities_on_one_circuit_scan_the_domain_once(monkeypatch):
+    # a table rule's copying voters come from one scan of its profiles
+    circ = lift_rule_to_unitary(SPACE, projection_rule(2, 3, 1).as_table())
+    scans = _count_domains(monkeypatch)
     for theta in np.linspace(0.0, pi / 2, 10):
         amps = np.zeros(6, dtype=complex)
         amps[0], amps[1] = cos(theta), sin(theta)
         cloning_fidelity(circ, 1, PureState(amps, 6))
     assert scans == [(2, 3)]
     assert circ.copied_voters == {1}
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (2, 4), (4, 3), (3, 5)])
+def test_pairwise_lift_builds_no_profile_domain(monkeypatch, m, n):
+    scans = _count_domains(monkeypatch)
+    space = BallotSpace(n)
+    circ = lift_rule_to_unitary(space, projection_rule(m, n, m - 1))
+    assert circ.copied_voters == {m - 1}
+    amps = np.zeros((2, space.d), dtype=complex)
+    amps[:, 0], amps[:, 1] = [1.0, 2 ** -0.5], [0.0, 2 ** -0.5]
+    assert np.abs(cloning_fidelities(circ, m - 1, amps) - [1.0, 0.5]).max() < 1e-12
+    assert circ.rule.swept_ranks(m - 1).tolist() == list(range(space.ballots))
+    assert scans == []
 
 
 def _random_states(rng, count, d):
@@ -248,7 +295,8 @@ def _check_against_the_dense_circuit(circuit, voter, psi, filler_ranks):
     fillers = [oracles.all_rankings(n)[r] for r in filler_ranks]
     batched = cloning_fidelities(circuit, voter, psi, fillers)
     looped = [cloning_fidelity(circuit, voter, PureState(row, d), fillers) for row in psi]
-    dense = [oracles.dense_cloning_fidelity(circuit.perm, d, m, voter, row, filler_ranks)
+    perm = classical_circuit_table(circuit.rule, d)
+    dense = [oracles.dense_cloning_fidelity(perm, d, m, voter, row, filler_ranks)
              for row in psi]
     assert batched.shape == (len(psi),)
     assert np.abs(batched - dense).max() <= 1e-12
@@ -269,22 +317,33 @@ def test_batched_fidelities_match_the_dense_circuit(n, d, m):
         assert (fidelities[-space.d:][:space.ballots] == 1.0).all()
 
 
-def test_batched_fidelities_drop_targets_off_the_swept_line():
-    # voter values 6 and 7 are no ballot, so the circuit may swap those
-    # inputs' images with those of (value, 7), off the swept line of filler
-    # 2, without changing what it does on ballot profiles
-    space, m, voter, filler = BallotSpace(3, 8), 2, 0, 2
-    lifted = lift_rule_to_unitary(space, projection_rule(m, 3, voter))
-    perm = lifted.perm.copy()
-    for value in (6, 7):
-        on_line, off_line = value * 8 + filler, value * 8 + 7
-        perm[[on_line, off_line]] = perm[[off_line, on_line]]
-    circuit = UnitaryCircuit(space, m + 1, perm)
-    assert circuit.copied_voters == lifted.copied_voters == {voter}
-    psi = _random_states(np.random.default_rng(7), 8, 8)
-    moved = _check_against_the_dense_circuit(circuit, voter, psi, [filler])
-    kept = cloning_fidelities(lifted, voter, psi, [oracles.all_rankings(3)[filler]])
-    assert np.abs(moved - kept).min() > 1e-6
+# every (n, d, m) whose dense table has d^(m+1) <= 4096 entries, d = n! and d > n!
+_DENSE_SIZES = [(n, d, m) for n in (2, 3, 4) for d in (factorial(n), factorial(n) + 2)
+                for m in range(1, 12) if d ** (m + 1) <= 4096]
+
+
+@pytest.mark.parametrize("form", ["pairwise", "table"])
+@pytest.mark.parametrize("n, d, m", _DENSE_SIZES)
+def test_rule_backed_fidelities_match_the_dense_table(n, d, m, form):
+    # the circuit reads the rule; the reference applies every entry of
+    # classical_circuit_table to the full d^(m+1) input vector
+    rng = np.random.default_rng(1000 * n + 10 * d + m)
+    space, ray = BallotSpace(n, d), np.eye(d)
+    psi = np.vstack([_random_states(rng, 3, d), ray[:factorial(n)]])
+    for voter in range(m):
+        rule = projection_rule(m, n, voter)
+        circuit = lift_rule_to_unitary(space, rule if form == "pairwise" else rule.as_table())
+        perm = classical_circuit_table(rule, d)
+        filler_ranks = rng.integers(factorial(n), size=m - 1).tolist()
+        fillers = [oracles.all_rankings(n)[r] for r in filler_ranks]
+        fidelities = cloning_fidelities(circuit, voter, psi, fillers)
+        for row, fidelity in zip(psi, fidelities):
+            registers = [ray[r] for r in filler_ranks]
+            registers.insert(voter, row)
+            out = oracles.apply_permutation(perm, reduce(np.kron, [ray[0], *registers]))
+            ideal = reduce(np.kron, [row, *registers])
+            assert abs(abs(np.vdot(ideal, out)) ** 2 - fidelity) <= 1e-12
+        assert (fidelities[-factorial(n):] == 1.0).all()
 
 
 @pytest.mark.parametrize(

@@ -227,9 +227,58 @@ def test_builder_past_the_profile_domain_guard_is_refused_at_once(monkeypatch):
     assert elapsed < 0.1 and peak < 1 << 20
 
 
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 3), (2, 4)])
+def test_swept_ranks_match_the_profile_by_profile_outcome(m, n):
+    # every line of every voter: the rank outcome() gives, -1 where it refuses
+    orders = enumerate_orders(n)
+    for rule in (pairwise_majority_rule(m, n), borda_rule(m, n), projection_rule(m, n, m - 1)):
+        for voter, fillers in product(range(m), all_profiles(m - 1, n)):
+            want = []
+            for ballot in orders:
+                try:
+                    want.append(order_rank(rule.outcome(fillers[:voter] + (ballot,) + fillers[voter:])))
+                except ValueError:
+                    want.append(-1)
+            assert rule.swept_ranks(voter, fillers).tolist() == want
+    rule = projection_rule(m, n, 0)
+    for form in (rule, rule.as_table()):
+        with pytest.raises(ValueError, match=f"voter {m} out of range for {m} voters"):
+            form.swept_ranks(m)
+        with pytest.raises(ValueError, match=f"expected {m - 1} filler ballots"):
+            form.swept_ranks(0, [orders[0]] * m)
+
+
 def test_profile_domain_guard():
     with pytest.raises(SizeLimitError):
         profile_domain(2, 7)
+
+
+def test_profile_domain_guard_is_checked_past_the_cache(monkeypatch):
+    # a domain built under a raised guard must not be served once it is lowered
+    monkeypatch.setenv(GUARD_ENV, "4")
+    try:
+        assert len(profile_domain(3, 5).ballot_ranks) == 1_728_000
+        monkeypatch.delenv(GUARD_ENV)
+        for build in (profile_domain, borda_rule):
+            with pytest.raises(SizeLimitError, match=r"^profile count \(n!\)\^m = 1728000 exceeds"):
+                build(3, 5)
+    finally:
+        social_choice._domains.cache_clear()  # frees the 1,728,000 profiles
+
+
+def test_projection_audit_builds_no_wide_projection_array():
+    # the projections' words were once packed from an int64 [m, 2^m] array:
+    # 163 MB traced at 19 voters
+    rule = projection_rule(19, 2, 3)
+    social_choice._projection_words.cache_clear()
+    tracemalloc.start()
+    try:
+        report = arrow_report(rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.dictator == 3 and report.ud
+    assert peak < 48 << 20
 
 
 def test_cyclic_profiles_tabulate_as_undecided():
