@@ -38,12 +38,7 @@ from .hilbert import (
     verify_ks_coloring,
 )
 from .landauer import EnergyParams, voting_energy
-from .social_choice import (
-    check_pairwise_size,
-    projection_rule,
-    rule_from_json_dict,
-    verify_arrow,
-)
+from .social_choice import projection_rule, rule_from_json_dict, verify_arrow
 
 DEFAULT_THETAS = (0.0, pi / 8, pi / 4, 3 * pi / 8, pi / 2)
 TSIRELSON = 2 * sqrt(2.0)
@@ -200,7 +195,6 @@ def _run_clone_test(args):
     if args.rule is not None:
         rule = rule_from_json_dict(_load_json(args.rule))
     else:
-        check_pairwise_size(args.voters, args.alternatives)  # before n! and 2^m-bit tables
         rule = projection_rule(args.voters, args.alternatives, 0)
     m, n = rule.voters, rule.alternatives
     space = BallotSpace(n)

@@ -10,7 +10,7 @@ re-erases after every wrong guess, costing (D-1)*k*T*log(D).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import factorial, inf, lgamma, log
+from math import factorial, inf, isfinite, lgamma, log
 from typing import Optional
 
 from ._guards import check_guard
@@ -118,18 +118,24 @@ def voting_energy(
     check_guard(n, 20, "alternative count for factorial energies")
 
     kt = params.k * params.T
-    if variant == "resolved":
-        e1 = erase_cost(params, m, strategy).energy
-        e2 = erase_cost(params, factorial(n), strategy).energy
-    else:
-        mfact = factorial(m)
-        if strategy == "with-memory":
-            e1 = kt * params.log(factorial(n))
-            # log((m!)!) via lgamma keeps the doubly factorial size finite
-            e2 = kt * params.scale_lgamma(mfact + 1)
+    try:  # a factorial past the float range, or lgamma of one near it, raises
+        if variant == "resolved":
+            e1 = erase_cost(params, m, strategy).energy
+            e2 = erase_cost(params, factorial(n), strategy).energy
         else:
-            e1 = (n - 1) * kt * params.log(n)
-            e2 = (mfact - 1) * kt * params.log(mfact) if mfact > 1 else 0.0
+            mfact = factorial(m)
+            if strategy == "with-memory":
+                e1 = kt * params.log(factorial(n))
+                # log((m!)!) via lgamma keeps the doubly factorial size finite
+                e2 = kt * params.scale_lgamma(mfact + 1)
+            else:
+                e1 = (n - 1) * kt * params.log(n)
+                e2 = (mfact - 1) * kt * params.log(mfact) if mfact > 1 else 0.0
+    except OverflowError:
+        e1 = e2 = inf
+    if not isfinite(e1 + e2):
+        raise ValueError(f"the {variant} {strategy} energies for {m} voters and {n}"
+                         " alternatives overflow a float")
     return VotingEnergyReport(
         m=m, n=n, strategy=strategy, k=params.k, T=params.T,
         log_base=params.log_base, E1=e1, E2=e2, E=e1 + e2,

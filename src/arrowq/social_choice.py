@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._guards import check_guard, check_power_guard, json_int_lists, json_ints
+from ._guards import SizeLimitError, check_guard, check_power_guard, json_int_lists, json_ints
 from .orders import (
     MAX_ALTERNATIVES,
     LinearOrder,
@@ -157,36 +157,25 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 # ---- voting rules ----
 
 def check_rule_size(m: int, n: int) -> None:
-    """The size check every rule takes before n! or a pair list is built:
-    at least one voter and one alternative, then the alternative guard."""
+    """The size check every rule takes before n!, a pair list or 2^m
+    entries are built: at least one voter and one alternative, the
+    alternative guard, then, from two alternatives on, fewer than 63 voters:
+    2^m entries or more, which no list holds."""
     if m < 1 or n < 1:
         raise ValueError("need at least one voter and one alternative")
     check_guard(n, MAX_ALTERNATIVES, "alternative count")
+    if n > 1 and m >= 63:
+        raise SizeLimitError(f"{m} voters need 2^{m} or more rule entries")
 
 
 def check_pairwise_size(m: int, n: int) -> None:
     """check_rule_size, then the guard on a pairwise rule's triple rows from
-    three alternatives on (6^m > 2^m), else on its 2^m-entry tables."""
+    three alternatives on (6^m > 2^m), else on its 2^m-entry tables: what
+    the nogood test, the audit and the lift of such a rule read."""
     check_rule_size(m, n)
     if n > 2:
         check_power_guard(6, m, MAX_PROFILES, "triple row count C(n,3)*6^m", comb(n, 3))
     elif n > 1:
-        check_power_guard(2, m, MAX_PROFILES, "pair table size 2^m")
-
-
-def _check_rule_entries(m: int, n: int) -> None:
-    """check_rule_size, then the limit on a rule's 2^m-entry tables."""
-    check_rule_size(m, n)
-    if n > 1 and m >= 63:  # 2^m entries or more: no list is that long
-        raise ValueError(f"{m} voters need 2^{m} or more rule entries")
-
-
-def _check_table_size(m: int, n: int) -> None:
-    """_check_rule_entries, then the profile-count guard on the 2^m-entry
-    table a builder is about to list: at two alternatives 2^m is the
-    profile count, and no predicate or circuit reads a larger rule."""
-    _check_rule_entries(m, n)
-    if n > 1:
         check_power_guard(2, m, MAX_PROFILES, "pair table size 2^m")
 
 
@@ -208,7 +197,7 @@ class VotingRule:
 
     def __post_init__(self):
         m, n = self.voters, self.alternatives
-        _check_rule_entries(m, n)
+        check_rule_size(m, n)
         if (self.tables is None) == (self.outcomes is None):
             raise ValueError("exactly one of tables/outcomes must be given")
         if self.tables is not None:
@@ -347,7 +336,7 @@ def _outcome_objects(n: int) -> np.ndarray:
 
 def projection_rule(m: int, n: int, voter: int) -> VotingRule:
     """Outcome = the chosen voter's ballot, in pairwise form."""
-    _check_table_size(m, n)  # before building 2^m entries; one alternative needs none
+    check_pairwise_size(m, n)  # before building 2^m entries; one alternative needs none
     if not 0 <= voter < m:
         raise ValueError(f"voter {voter} out of range for {m} voters")
     table = tuple(((np.arange(1 << m) >> voter) & 1).tolist()) if n > 1 else ()
@@ -384,7 +373,7 @@ def pairwise_majority_rule(m: int, n: int) -> VotingRule:
     For n > 2 the outcome can cycle on some profiles, in which case
     outcome() raises IntransitiveOutcomeError.
     """
-    _check_table_size(m, n)  # before building 2^m entries; one alternative needs none
+    check_pairwise_size(m, n)  # before building 2^m entries; one alternative needs none
     table = ()
     if n > 1:
         vectors = np.arange(1 << m)
@@ -653,11 +642,14 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     propagates on a copy of its parent's assignment: nothing is undone.
     """
     check_rule_size(m, n)
-    if n < 3:  # at most 16,384 rules
+    npairs = n * (n - 1) // 2
+    if n < 3:  # at most 2^4 voter vectors per pair, and the listing's 16,384 rules
         check_power_guard(2, m, 16, "profile bit-vector size 2^m")
+        check_power_guard(2, npairs * ((1 << m) - 2), 1 << 14,
+                          "fair rule count 2^(pairs*(2^m-2))")
     else:  # [3, C] nogoods: a sweep sums three contiguous rows
         var = np.tile(_triple_rows(m, n).reshape(-1, 3).T, 2)
-    size, npairs = 1 << m, len(alternative_pairs(n))
+    size = 1 << m
 
     # unanimity: x[k][0] = 0 and x[k][2^m - 1] = 1
     values = np.full((npairs, size), -1, dtype=np.int8)

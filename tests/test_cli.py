@@ -176,6 +176,17 @@ def test_verify_arrow_guard_exits_two(monkeypatch):
         assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("override", ["2", "1000"])
+@pytest.mark.usefixtures("refuse_large_aranges")
+def test_verify_arrow_listing_past_its_rule_count_exits_two(monkeypatch, override):
+    # (5, 2) would list 2^30 rules
+    monkeypatch.setenv(GUARD_ENV, override)
+    proc = run_cli("verify-arrow", "--voters", "5", "--alternatives", "2")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("size limit: fair rule count 2^(pairs*(2^m-2)) = 2^30 exceeds")
+    assert proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "flags", [("--voters", "0"), ("--voters", "-1"), ("--alternatives", "0")]
 )
@@ -240,6 +251,20 @@ def test_clone_test_rule_file(tmp_path):
     report = report_of(proc)
     assert report["config"]["voter"] == 1
     assert report["pass"] is True
+
+
+def test_clone_test_table_rule_file(tmp_path, capsys):
+    # a (3,3) table file is read with one type scan of its 216 entries; a
+    # bad leaf deep in it gets the message of the entry it sits in
+    data = rule_to_json_dict(projection_rule(3, 3, 2).as_table())
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_main(capsys, "clone-test", "--rule", str(path))
+    assert code == 0 and json.loads(out)["config"]["voter"] == 2
+    data["entries"][200][1] = True
+    path.write_text(json.dumps(data))
+    assert run_main(capsys, "clone-test", "--rule", str(path)) == (
+        2, "", "error: an outcome must be a list of integers, got [1, True, 2]\n")
 
 
 def test_clone_test_rejects_non_dictatorial_rule(tmp_path):
@@ -333,24 +358,27 @@ def test_clone_test_tolerance_must_be_finite_and_nonnegative(tolerance):
 
 
 def test_clone_test_guards_the_circuit_before_building_the_rule(monkeypatch):
-    # a pairwise lift takes the search's triple-row guard, so clone-test
-    # refuses exactly the sizes verify-arrow refuses, with the same line;
-    # the default rule is not built first
-    def refuse(*args):
-        raise AssertionError("the default rule was built")
-
+    # the default rule's builder takes the lift's guard, the search's triple
+    # rows, so clone-test refuses exactly the sizes verify-arrow refuses, with
+    # the same line, and builds nothing of size 2^m first (2^30 bits at 30)
     monkeypatch.delenv(GUARD_ENV, raising=False)
-    monkeypatch.setattr(cli, "projection_rule", refuse)
     for m, n in [(8, 3), (7, 4), (6, 6), (30, 3)]:
         size = ("--voters", str(m), "--alternatives", str(n))
-        proc, search = run_cli("clone-test", *size), run_cli("verify-arrow", *size)
+        search = run_cli("verify-arrow", *size)
+        tracemalloc.start()
+        try:
+            proc = run_cli("clone-test", *size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("size limit: triple row count C(n,3)*6^m = ")
         assert proc.stderr.count("\n") == 1
         assert (search.returncode, search.stderr) == (2, proc.stderr)
+        assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("m, n", [(4, 3), (2, 4), (3, 5), (4, 5), (4, 8), (6, 4), (7, 3)])
+@pytest.mark.parametrize("m, n", [(4, 3), (2, 4), (3, 4), (3, 5), (4, 5), (4, 8), (6, 4), (7, 3)])
 def test_clone_test_passes_past_the_dense_table(tmp_path, monkeypatch, capsys, m, n):
     # the lift reads the swept line off the rule: no d^(m+1) table, and
     # no identity matrix for the basis rays
@@ -551,6 +579,22 @@ def test_energy_non_finite_parameter_exits_two(flags):
     proc = run_cli("energy", *flags)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("--voters", "171", "--variant", "literal"),
+    ("--voters", "3", "--alternatives", "171", "--strategy", "without-memory"),
+    ("--k", "1e300", "--T", "1e300"),
+])
+def test_energy_past_the_float_range_exits_two(monkeypatch, argv):
+    # 171! is past the largest float: with the sizes' guard raised, the
+    # literal (m!)! and the resolved (n! - 1) * kT log(n!) raised
+    # OverflowError (exit 1); a finite k * T past it gave "E": Infinity
+    monkeypatch.setenv(GUARD_ENV, "9")
+    proc = run_cli("energy", *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.endswith(" overflow a float\n")
+    assert proc.stderr.count("\n") == 1
 
 
 # ---- ks-verify ----

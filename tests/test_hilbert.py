@@ -176,12 +176,17 @@ def test_permutation_oracle_matches_cloning_fidelities():
 
 
 def test_lift_size_guard(monkeypatch):
-    # a pairwise lift takes the search's triple-row guard, C(n,3) * 6^m <= 2^19
+    # a pairwise lift takes the search's triple-row guard, C(n,3) * 6^m <= 2^19;
+    # the builders take it too, so only a hand-built rule, as a rule file
+    # gives, reaches the lift past it
     monkeypatch.delenv("ARROWQ_GUARD_OVERRIDE", raising=False)
+    message = r"^triple row count C\(n,3\)\*6\^m = "
     for m, n in [(8, 3), (7, 4), (6, 6)]:
-        rule = projection_rule(m, n, 0)
-        with pytest.raises(SizeLimitError, match=r"^triple row count C\(n,3\)\*6\^m = "):
-            lift_rule_to_unitary(BallotSpace(n), rule)
+        with pytest.raises(SizeLimitError, match=message):
+            projection_rule(m, n, 0)
+        tables = (tuple(v & 1 for v in range(1 << m)),) * (n * (n - 1) // 2)
+        with pytest.raises(SizeLimitError, match=message):
+            lift_rule_to_unitary(BallotSpace(n), VotingRule(m, n, tables=tables))
     assert lift_rule_to_unitary(SPACE, projection_rule(7, 3, 6)).copied_voters == {6}
     # at two alternatives there is no triple: the 2^m-entry tables take the guard
     wide = VotingRule(20, 2, tables=((0, 1) * (1 << 19),))

@@ -590,8 +590,9 @@ def test_fair_rules_past_the_profile_guard_are_audited_without_a_domain(monkeypa
 
 def test_pairwise_totality_takes_the_triple_row_guard(monkeypatch):
     # 6^8 = 1,679,616 rows of one triple, where the profile domain would list 6^8 profiles
+    # built by hand, as a rule file gives it: the builders refuse (8, 3) first
     monkeypatch.delenv(GUARD_ENV, raising=False)
-    rule = projection_rule(8, 3, 0)
+    rule = VotingRule(8, 3, tables=(tuple(v & 1 for v in range(1 << 8)),) * 3)
     message = r"^triple row count C\(n,3\)\*6\^m = 1679616 exceeds"
     with pytest.raises(SizeLimitError, match=message):
         rule.is_total()
@@ -673,16 +674,40 @@ def test_enumeration_guard(monkeypatch):
             enumerate_fair_rules(m, n)
 
 
+@pytest.mark.parametrize("override", [None, "2", "1000"])
+@pytest.mark.usefixtures("refuse_large_aranges")
+def test_two_alternative_listing_is_guarded_by_its_rule_count(monkeypatch, override):
+    # with one or two alternatives the listing holds 2^(pairs*(2^m-2)) rules;
+    # under an override the 2^m <= 16k bound alone admitted (5, 2), 2^30 rules
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    if override is not None:
+        monkeypatch.setenv(GUARD_ENV, override)
+    for m in range(1, 5):  # the sizes admitted without an override, both n
+        assert len(enumerate_fair_rules(m, 1)) == 1
+        assert len(enumerate_fair_rules(m, 2)) == 1 << ((1 << m) - 2)
+    if override is None:
+        for n in (1, 2):
+            with pytest.raises(SizeLimitError, match=r"^profile bit-vector size 2\^m = 32 exceeds"):
+                enumerate_fair_rules(5, n)
+    else:
+        with pytest.raises(SizeLimitError,
+                           match=r"^fair rule count 2\^\(pairs\*\(2\^m-2\)\) = 2\^30 exceeds"):
+            enumerate_fair_rules(5, 2)
+
+
 def test_triple_rows_cached_under_an_override_keep_their_guard(monkeypatch):
     # the guard is checked outside _triple_vars' cache: rows built while the
-    # override admits (6, 6) do not let the search or the audit past it later
-    rule = projection_rule(6, 6, 0)
+    # override admits (6, 6) do not let the search, the audit or a builder
+    # past it later
     monkeypatch.setenv(GUARD_ENV, "2")
+    rule = projection_rule(6, 6, 0)
     assert rule.is_total()
     monkeypatch.delenv(GUARD_ENV)
     message = r"^triple row count C\(n,3\)\*6\^m = 933120 exceeds the size guard 524288 "
     with pytest.raises(SizeLimitError, match=message):
-        projection_rule(6, 6, 0).is_total()
+        rule.is_total()
+    with pytest.raises(SizeLimitError, match=message):
+        projection_rule(6, 6, 0)
     with pytest.raises(SizeLimitError, match=message):
         enumerate_fair_rules(6, 6)
     hits = social_choice._triple_vars.cache_info().hits
@@ -1056,24 +1081,38 @@ def test_rule_builders_refuse_before_building(build):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: projection_rule(40, 2, 0),
-    lambda: pairwise_majority_rule(40, 3),
-    lambda: projection_rule(20, 2, 0),
-], ids=["projection", "majority", "projection-20"])
+    lambda m, n: projection_rule(m, n, 0),
+    pairwise_majority_rule,
+], ids=["projection", "majority"])
 def test_rule_builders_guard_the_table_size(monkeypatch, build):
-    # below 63 voters 2^m entries could be listed, but past 2^19 no profile
-    # domain reads them: 2^40 would exhaust memory, so refuse before building
+    # a builder takes the guard of what reads its tables: from three
+    # alternatives the triple-row guard C(n,3)*6^m <= 2^19 of the search, the
+    # audit and the lift, with verify_arrow's message; at two the table guard
+    # 2^m <= 2^19. Each refuses before listing 2^m entries (2^40 would
+    # exhaust memory).
     monkeypatch.delenv(GUARD_ENV, raising=False)
-    tracemalloc.start()
-    started = time.perf_counter()
-    try:
-        with pytest.raises(SizeLimitError, match=r"^pair table size 2\^m = (2\^40|1048576) exceeds"):
-            build()
-        elapsed = time.perf_counter() - started
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert elapsed < 0.1 and peak < 1 << 20
+
+    def refused(m, n):
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(SizeLimitError) as refusal:
+                build(m, n)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 1 << 20
+        return str(refusal.value)
+
+    for m, n in [(8, 3), (7, 4), (6, 6), (30, 3), (40, 3)]:
+        with pytest.raises(SizeLimitError, match=r"^triple row count C\(n,3\)\*6\^m = ") as search:
+            verify_arrow(m, n)
+        assert refused(m, n) == str(search.value)
+    assert refused(20, 2).startswith("pair table size 2^m = 1048576 exceeds")
+    assert refused(40, 2).startswith("pair table size 2^m = 2^40 exceeds")
+    for m, n in [(7, 3), (6, 4), (6, 5), (4, 8), (5, 8), (19, 2)]:
+        assert len(build(m, n).tables[-1]) == 1 << m
 
 
 @pytest.mark.parametrize("m", range(1, 7))
