@@ -66,13 +66,22 @@ class ErasureCost:
             raise ValueError("zero energy exactly for a one-state register")
 
 
+class EnergyOverflowError(ValueError, OverflowError):
+    """An energy past the float range: a ValueError to callers, and an
+    OverflowError to voting_energy, which reports its own message."""
+
+
 def erase_cost(params: EnergyParams, D: int, strategy: str = "with-memory") -> ErasureCost:
     """k*T*log(D) with memory; (D-1)*k*T*log(D) without."""
     _check_strategy(strategy)
     if D < 1:
         raise ValueError(f"register cardinality must be at least 1, got {D}")
     base = params.k * params.T * params.log(D)
-    energy = base if strategy == "with-memory" else (D - 1) * base
+    try:  # D - 1 past the float range has no float to multiply
+        energy = base if strategy == "with-memory" else (D - 1) * base
+    except OverflowError:
+        raise EnergyOverflowError(f"the {strategy} erasure energy of a register of"
+                                  f" {D.bit_length()}-bit cardinality overflows a float") from None
     return ErasureCost(strategy, D, energy)
 
 

@@ -571,52 +571,105 @@ def _triple_rows(m: int, n: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _triple_vars(m: int, n: int) -> np.ndarray:
     """[triples, 6^m, 3] variables pair * 2^m + voter vector on the pairs
-    (xy, yz, xz) of each triple x < y < z, in the narrowest unsigned type:
-    the search's nogoods.  A voter's bits are any pattern but the cyclic
+    (xy, yz, xz) of each triple x < y < z, as np.intp, which numpy indexes
+    with directly where a narrower type goes through a buffered cast: the
+    search's nogoods.  A voter's bits are any pattern but the cyclic
     (1, 1, 0) and (0, 0, 1), so every triple has the same 6^m rows of voter
     vectors: all combinations of the voters' six patterns, voter 0 the most
     significant digit, built one voter at a time (no [6^m, m, 3] array)."""
     k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
-    dtype = np.min_scalar_type((len(k) << m) - 1)
     triples = [(k[x, y], k[y, z], k[x, z]) for x, y, z in combinations(range(n), 3)]
-    acyclic = np.array([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)], dtype=dtype)
-    rows = np.zeros((1, 3), dtype=dtype)
+    acyclic = np.array([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)], dtype=np.intp)
+    rows = np.zeros((1, 3), dtype=np.intp)
     for i in range(m):
         rows = (rows[:, None] | acyclic << i).reshape(-1, 3)
-    return _read_only((np.array(triples, dtype=dtype).reshape(-1, 1, 3) << m) + rows)
+    return _read_only((np.array(triples, dtype=np.intp).reshape(-1, 1, 3) << m) + rows)
 
 
 def _acyclic(m: int, n: int, tables: np.ndarray) -> bool:
     """The [pairs, 2^m] tables of n >= 3 alternatives meet no cyclic outcome
     on any row of _triple_rows, the search's nogoods: the rule is total."""
-    # indexing casts the narrow rows to intp in chunks, where np.take copies them whole
     xy, yz, xz = tables.ravel()[_triple_rows(m, n)].transpose(2, 0, 1)
     return not ((xy == yz) & (yz != xz)).any()
 
 
-def _propagate(values: np.ndarray, var: np.ndarray, bit: np.ndarray) -> bool:
-    """Unit propagation over nogoods, in place: values holds one int8 per
-    variable (-1 unassigned) and nogood c is the three literals var[i, c] =
-    bit[i, c].  Each sweep reads every nogood and, where two of its
-    literals are true and the third is unassigned, sets that variable to
-    the other value, until a sweep sets nothing.  False on a conflict: a
-    nogood with all three literals true, or a sweep that would set one
-    variable both ways, in which case that sweep assigns nothing."""
+def _propagate(truth: np.ndarray, nogoods: Sequence[np.ndarray]) -> bool:
+    """Unit propagation, in place.  truth holds one int8 per literal
+    2 * variable + bit: 1 where the variable holds that bit, -1 where it
+    holds the other, 0 while it is unassigned.  A nogood array is [w, C]
+    literals, one nogood of width w < 128 per column, met when all w are
+    true.
+
+    A nogood's true literals less its false ones number w exactly when all
+    are true, and w - 1 exactly when one is unassigned and the rest true:
+    the unit case, which sets that literal's variable to the other bit.
+    One max over these sums tells a conflict or a sweep with nothing to
+    force before any forcing array is built.  Sweeps repeat until one sets
+    nothing.  False on a conflict: a nogood with every literal true, or a
+    sweep that would set one variable both ways, in which case that sweep
+    assigns nothing."""
     while True:
-        lits = values[var]
-        true = (lits == bit).sum(axis=0, dtype=np.int8)
-        if (true == 3).any():
-            return False
-        forced = (true == 2) & (lits < 0)
-        if not forced.any():
+        forced = []
+        for lits in nogoods:
+            state = truth[lits]
+            score = state.sum(axis=0, dtype=np.int8)
+            top = score.max()
+            if top == len(lits):
+                return False
+            if top == len(lits) - 1:
+                unit = np.flatnonzero(score == top)
+                forced.append(lits[:, unit][state[:, unit] == 0])
+        if not forced:
             return True
-        v, b = var[forced], 1 - bit[forced]
-        new = values.copy()
-        new[v] = b
-        # a variable forced both ways keeps one write; the other reads back wrong
-        if (new[v] != b).any():
+        lit = np.concatenate(forced)
+        truth[lit] = -1
+        truth[lit ^ 1] = 1
+        # a variable forced both ways has both literals in lit, and the second
+        # write leaves both true; every forced literal was unassigned
+        if (truth[lit] != -1).any():
+            truth[lit] = truth[lit ^ 1] = 0
             return False
-        values[v] = b
+
+
+def _search(values: np.ndarray, nogoods: Sequence[np.ndarray]) -> tuple[np.ndarray, int, int, int]:
+    """Every completion of values (one int8 per variable, -1 unassigned)
+    that meets none of the nogoods, in lexicographic order, as [leaves,
+    variables] int8 bits, and the search's decisions (branch values tried),
+    propagations (variables set by unit propagation, values' own included)
+    and conflicts.  The nogoods are _propagate's [w, C] literal arrays.
+
+    The search propagates values first, then branches on the lowest
+    unassigned variable, 0 before 1, and sets every variable the nogoods
+    then force.  Each branch propagates on a copy of its parent's
+    assignment: nothing is undone."""
+    sign = np.where(values < 0, 0, 2 * values - 1).astype(np.int8)
+    truth = np.stack([-sign, sign], axis=1).ravel()  # _propagate's literal table
+    ok = _propagate(truth, nogoods)
+    decisions, propagations, conflicts = 0, int(np.count_nonzero(truth)) // 2, int(not ok)
+
+    leaves = []
+    stack = [truth] if ok else []  # assignments still to branch on, the next on top
+    while stack:
+        truth = stack.pop()
+        free = np.flatnonzero(truth[1::2] == 0)
+        if not free.size:
+            leaves.append(truth[1::2] > 0)
+            continue
+        assigned = len(values) - len(free)
+        children = []
+        for bit in (0, 1):
+            decisions += 1
+            child = truth.copy()
+            lit = 2 * free[0] + bit
+            child[lit], child[lit ^ 1] = 1, -1
+            ok = _propagate(child, nogoods)
+            propagations += int(np.count_nonzero(child)) // 2 - assigned - 1
+            if ok:
+                children.append(child)
+            else:
+                conflicts += 1
+        stack.extend(reversed(children))
+    return np.array(leaves, dtype=np.int8).reshape(-1, len(values)), decisions, propagations, conflicts
 
 
 def enumerate_fair_rules(m: int, n: int) -> FairRules:
@@ -635,11 +688,9 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     significant, by unpacking the bits of a row counter stored big-endian
     in the narrowest unsigned type.
 
-    Otherwise every variable lies in a nogood, a _triple_vars row read once
-    per cyclic outcome.  The search branches on the lowest unassigned
-    variable, 0 before 1, and sets every variable the clauses then force
-    (unit propagation), so the rules come out in table order.  Each branch
-    propagates on a copy of its parent's assignment: nothing is undone.
+    Otherwise every variable lies in a nogood.  Each cached intp row of
+    _triple_vars gives the literals of its two nogoods, and _search lists
+    the rules, in table order, with its counters.
     """
     check_rule_size(m, n)
     npairs = n * (n - 1) // 2
@@ -647,8 +698,8 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
         check_power_guard(2, m, 16, "profile bit-vector size 2^m")
         check_power_guard(2, npairs * ((1 << m) - 2), 1 << 14,
                           "fair rule count 2^(pairs*(2^m-2))")
-    else:  # [3, C] nogoods: a sweep sums three contiguous rows
-        var = np.tile(_triple_rows(m, n).reshape(-1, 3).T, 2)
+    else:
+        var = _triple_rows(m, n).reshape(-1, 3).T  # [3, rows]: xy, yz, xz
     size = 1 << m
 
     # unanimity: x[k][0] = 0 and x[k][2^m - 1] = 1
@@ -665,34 +716,13 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
         return FairRules(m, n, rows.reshape(len(rows), npairs, size),
                          2 * npairs, 0, 2 * npairs, 0)
 
-    bit = np.repeat(np.int8([[1, 0], [1, 0], [0, 1]]), var.shape[1] // 2, axis=1)
-    _propagate(values, var, bit)
-    clauses = 2 * npairs + var.shape[1]
-    decisions, propagations, conflicts = 0, int((values >= 0).sum()), 0
-
-    rules = []
-    stack = [values]  # assignments still to branch on, the next on top
-    while stack:
-        values = stack.pop()
-        free = np.flatnonzero(values < 0)
-        if not free.size:
-            rules.append(values)
-            continue
-        assigned = len(values) - len(free)
-        children = []
-        for value in (0, 1):
-            decisions += 1
-            child = values.copy()
-            child[free[0]] = value
-            ok = _propagate(child, var, bit)
-            propagations += int((child >= 0).sum()) - assigned - 1
-            if ok:
-                children.append(child)
-            else:
-                conflicts += 1
-        stack.extend(reversed(children))
-    tables = np.stack(rules).reshape(len(rules), npairs, size)
-    return FairRules(m, n, tables, clauses, decisions, propagations, conflicts)
+    # [3, nogoods] literals 2 * variable + bit, every row's cyclic outcome
+    # (1, 1, 0), then every row's (0, 0, 1): a sweep sums three contiguous rows
+    cyclic = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.intp)[..., None]
+    lits = ((var[:, None] << 1) | cyclic).reshape(3, -1)
+    leaves, decisions, propagations, conflicts = _search(values, [lits])
+    return FairRules(m, n, leaves.reshape(len(leaves), npairs, size),
+                     2 * npairs + lits.shape[1], decisions, propagations, conflicts)
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,21 @@ def test_energy_params_must_be_finite(kwargs, message):
         EnergyParams(**{"k": 1.0, "T": 1.0, **kwargs})
 
 
+def test_erase_cost_past_the_float_range_is_a_value_error(monkeypatch):
+    # D - 1 = 171! - 1 has no float: this raised OverflowError, and a message
+    # must not print D's 310 digits
+    with pytest.raises(ValueError, match="overflows a float") as info:
+        erase_cost(EnergyParams(), factorial(171), "without-memory")
+    assert "\n" not in str(info.value) and len(str(info.value)) < 120
+    # with memory only log(D) is taken, which a big integer has
+    assert erase_cost(EnergyParams(), factorial(171)).energy == KT * log(factorial(171))
+    # voting_energy keeps its own message
+    monkeypatch.setenv("ARROWQ_GUARD_OVERRIDE", "9")
+    with pytest.raises(ValueError, match="^the resolved without-memory energies for 3 voters"
+                       " and 171 alternatives overflow a float$"):
+        voting_energy(EnergyParams(), 3, 171, "without-memory")
+
+
 def test_size_guard_on_voting_energy(monkeypatch):
     monkeypatch.delenv("ARROWQ_GUARD_OVERRIDE", raising=False)
     params = EnergyParams(k=1.0, T=1.0)

@@ -752,6 +752,7 @@ def test_closed_form_nogoods_match_the_profile_domain(m, n):
     k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
     got = social_choice._triple_vars(m, n)
     assert got.shape == (len(list(combinations(range(n), 3))), 6 ** m, 3)
+    assert got.dtype == np.intp  # a narrower index makes every gather cast it
     for t, (x, y, z) in enumerate(combinations(range(n), 3)):
         cols = np.array([k[x, y], k[y, z], k[x, z]])
         want = cols * (1 << m) + np.unique(inputs[:, cols], axis=0)
@@ -768,7 +769,8 @@ def projection_tables(m, n):
 
 
 @pytest.mark.parametrize(
-    "m, n", [(3, 4), (4, 3), (2, 5), (3, 5), (4, 5), (4, 8), (5, 3), (6, 3), (6, 4), (7, 3)]
+    "m, n", [(3, 4), (4, 3), (2, 5), (3, 5), (4, 5), (4, 8), (5, 3), (6, 3), (6, 4), (7, 3),
+             (6, 5), (5, 8)]
 )
 def test_fair_rules_are_the_projections(m, n):
     assert [r.tables for r in enumerate_fair_rules(m, n)] == projection_tables(m, n)
@@ -816,9 +818,10 @@ def test_verify_arrow_42_stays_within_its_working_set():
 
 
 def test_verify_arrow_48_stays_within_its_working_set():
-    # the search reads the cached narrow triple rows as its 145,152 nogoods:
-    # 0.9 MB of uint16 variables and 0.4 MB of int8 bits, where the int64
-    # literals, their transposed copy and its decoding peaked at 14.4 MB
+    # the search builds its 145,152 nogoods from the cached intp triple rows
+    # as 3.5 MB of intp literals, and a sweep gathers 0.4 MB of int8 truth
+    # values from them; int64 literals with a transposed copy and its
+    # decoding once peaked at 14.4 MB
     verify_arrow(4, 8)  # the rows are built and cached outside the measurement
     tracemalloc.start()
     try:
@@ -845,6 +848,7 @@ SEARCH_COUNTERS = {
     (4, 5): (25940, 6, 494, 0), (4, 8): (145208, 6, 1394, 0),
     (5, 3): (15558, 8, 382, 0), (6, 3): (93318, 10, 956, 0),
     (6, 4): (373260, 10, 1922, 0), (7, 3): (559878, 12, 2298, 0),
+    (6, 5): (933140, 10, 3210, 0), (5, 8): (870968, 8, 3632, 0),
 }
 
 
@@ -859,41 +863,49 @@ def test_search_counters(m, n):
     }
 
 
-def literals(*nogoods):
-    """_propagate's var and bit arrays for nogoods given as ((var, bit), ...)."""
-    lits = np.array(nogoods).transpose(1, 0, 2)  # [3, C, (var, bit)]
-    return lits[..., 0], lits[..., 1].astype(np.int8)
+def literals(width, values, *nogoods):
+    """_propagate's literal table for values (-1 unassigned) and its [width,
+    C] literals 2 * var + bit for width-2 nogoods given as ((var, bit), ...),
+    each followed by width - 2 literals of padding variables, numbered after
+    values, that hold 1."""
+    pad = [(len(values) + i, 1) for i in range(width - 2)]
+    sign = np.array([2 * v - 1 if v >= 0 else 0 for v in values] + [1] * len(pad), dtype=np.int8)
+    lits = np.array([[2 * v + b for v, b in (*nogood, *pad)] for nogood in nogoods], dtype=np.intp)
+    return np.stack([-sign, sign], axis=1).ravel(), lits.T
 
 
-def test_propagate_chain_reaches_fixpoint():
-    # x0 = 1 and x1 = 1 force x2 = 0; x1 = 1 and x2 = 0 force x3 = 1; the
-    # last nogood never has two true literals
-    var, bit = literals(
-        ((0, 1), (1, 1), (2, 1)), ((1, 1), (2, 0), (3, 0)), ((3, 0), (4, 1), (0, 0))
-    )
-    values = np.array([1, 1, -1, -1, -1], dtype=np.int8)
-    assert social_choice._propagate(values, var, bit)
-    assert values.tolist() == [1, 1, 0, 1, -1]
+def assigned(truth, count):
+    """The first count variables of a literal table, -1 where unassigned."""
+    return [-1 if t == 0 else int(t > 0) for t in truth[1:2 * count:2]]
 
 
-def test_propagate_all_true_nogood_is_a_conflict():
-    var, bit = literals(((0, 1), (1, 0), (2, 1)))
-    assert not social_choice._propagate(np.array([1, 0, 1], dtype=np.int8), var, bit)
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_propagate_chain_reaches_fixpoint(width):
+    # x0 = 1 forces x1 = 0; then x1 = 0 forces x2 = 1, in the next sweep,
+    # from the nogood's first literal; the last nogood's x2 = 0 is false,
+    # so it forces nothing
+    truth, lits = literals(width, [1, -1, -1, -1], ((0, 1), (1, 1)), ((2, 0), (1, 0)), ((2, 0), (3, 1)))
+    assert social_choice._propagate(truth, [lits])
+    assert assigned(truth, 4) == [1, 0, 1, -1]
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_propagate_all_true_nogood_is_a_conflict(width):
+    truth, lits = literals(width, [1, 0], ((0, 1), (1, 0)))
+    assert not social_choice._propagate(truth, [lits])
     # one literal false: the nogood holds and forces nothing
-    values = np.array([1, 1, 1], dtype=np.int8)
-    assert social_choice._propagate(values, var, bit)
-    assert values.tolist() == [1, 1, 1]
+    truth, lits = literals(width, [1, 1], ((0, 1), (1, 0)))
+    assert social_choice._propagate(truth, [lits])
+    assert assigned(truth, 2) == [1, 1]
 
 
-def test_propagate_variable_forced_both_ways():
-    # with x0 = x1 = 1 one nogood forces x2 = 0 and the other x2 = 1; the
-    # sweep that finds it assigns nothing, x3's forcing included
-    var, bit = literals(
-        ((0, 1), (1, 1), (2, 1)), ((0, 1), (1, 1), (2, 0)), ((0, 1), (1, 1), (3, 1))
-    )
-    values = np.array([1, 1, -1, -1], dtype=np.int8)
-    assert not social_choice._propagate(values, var, bit)
-    assert values.tolist() == [1, 1, -1, -1]
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_propagate_variable_forced_both_ways(width):
+    # with x0 = 1 one nogood forces x1 = 0 and the other x1 = 1; the sweep
+    # that finds it assigns nothing, x2's forcing included
+    truth, lits = literals(width, [1, -1, -1], ((0, 1), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (2, 1)))
+    assert not social_choice._propagate(truth, [lits])
+    assert assigned(truth, 3) == [1, -1, -1]
 
 
 # ---- reversible circuit table ----
