@@ -17,6 +17,7 @@ import time
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import cos, inf, isfinite, pi, sin, sqrt
+from operator import sub
 from types import NoneType
 
 import numpy as np
@@ -61,7 +62,7 @@ def _encode(value, indent: str = "") -> str:
     return "".join(_pieces(value, indent))
 
 
-def _pieces(value, indent: str = ""):
+def _pieces(value, indent: str = "", texts=None):
     """The text of _encode(value, indent) as pieces in document order, so a
     report is joined once, by its writer, rather than once per nesting
     level.  Takes dicts with str keys, lists, tuples, JSON scalars, and
@@ -72,7 +73,14 @@ def _pieces(value, indent: str = ""):
     key, and a scalar of an exact JSON type, is written by its type with
     json's own spelling; any other scalar goes through json.dumps.  Every
     list whose entries all have such types is one call of the C encoder,
-    with ",\n" and the indent as its item separator."""
+    with ",\n" and the indent as its item separator.
+
+    texts maps (id(list), indent) to that text for one top-level call, so a
+    list object that a value holds twice, such as clone-test's angles in
+    config and results, is encoded once.  The value keeps every list it
+    holds alive for the call, so no id is reused within it; the map goes
+    with the call, since ids may be reused after it."""
+    texts = {} if texts is None else texts
     inner = indent + "  "
     write = _SCALAR_TEXT.get(type(value))
     if write is not None:
@@ -87,17 +95,20 @@ def _pieces(value, indent: str = ""):
         separator = f"{{\n{inner}"
         for k in sorted(value):
             yield f"{separator}{encode_basestring_ascii(k)}: "
-            yield from _pieces(value[k], inner)
+            yield from _pieces(value[k], inner, texts)
             separator = f",\n{inner}"
         yield f"\n{indent}}}"
+    elif (id(value), indent) in texts:
+        yield texts[id(value), indent]
     elif _JSON_SCALARS.issuperset(map(type, value)):
         items = json.JSONEncoder(separators=(f",\n{inner}", ": ")).encode(value)
-        yield f"[\n{inner}{items[1:-1]}\n{indent}]"
+        texts[id(value), indent] = text = f"[\n{inner}{items[1:-1]}\n{indent}]"
+        yield text
     else:
         separator = f"[\n{inner}"
         for x in value:
             yield separator
-            yield from _pieces(x, inner)
+            yield from _pieces(x, inner, texts)
             separator = f",\n{inner}"
         yield f"\n{indent}]"
 
@@ -183,9 +194,8 @@ def _run_verify_arrow(args):
 
 
 def _run_clone_test(args):
-    thetas = DEFAULT_THETAS if args.theta is None else tuple(
-        float(x) for x in args.theta.split(",") if x.strip()
-    )
+    thetas = list(DEFAULT_THETAS if args.theta is None
+                  else map(float, filter(str.strip, args.theta.split(","))))
     if not thetas:  # no superposition tested is no pass
         raise ValueError(f"--theta lists no angle: {args.theta!r}")
     if not all(map(isfinite, thetas)):
@@ -211,23 +221,23 @@ def _run_clone_test(args):
         "voters": m,
         "alternatives": n,
         "voter": voter,
-        "theta": list(thetas),
+        "theta": thetas,  # the results' list too, so the writer writes it once
         "rule_file": args.rule,
         "tolerance": args.tolerance,
     }
 
-    amps = np.zeros((len(thetas), space.d), dtype=complex)
-    amps[:, :2] = [(cos(theta), sin(theta)) for theta in thetas]
-    fidelities = cloning_fidelities(circuit, voter, amps).tolist()
-    predicted = [(cos(theta) ** 3 + sin(theta) ** 3) ** 2 for theta in thetas]
-    formula_error = max(abs(f - p) for f, p in zip(fidelities, predicted))
+    # cos(theta)|b0> + sin(theta)|b1>, stored on the two rays it occupies
+    amps = [(cos(theta), sin(theta)) for theta in thetas]
+    fidelities = cloning_fidelities(circuit, voter, amps, rays=(0, 1)).tolist()
+    predicted = [(c ** 3 + s ** 3) ** 2 for c, s in amps]
+    formula_error = max(map(abs, map(sub, fidelities, predicted)))
 
     # basis ray k clones exactly when the circuit writes k into the ancilla
     basis_fid = (rule.swept_ranks(voter) == np.arange(space.ballots)).astype(float).tolist()
     basis_ok = all(abs(f - 1.0) <= args.tolerance for f in basis_fid)
 
     results = {
-        "theta": list(thetas),
+        "theta": thetas,
         "fidelity": fidelities,
         "predicted": predicted,
         "max_formula_error": formula_error,

@@ -151,9 +151,13 @@ def cloning_fidelities(
     voter: int,
     amplitudes,
     fillers: Optional[Sequence[LinearOrder]] = None,
+    rays: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Overlap-squared between the circuit's output and a perfect clone,
-    for each row of a [K, d] array of unit-norm voter states.
+    for each row of a [K, s] array of unit-norm voter states whose columns
+    sit on the basis rays `rays`, ascending and distinct (default: all d
+    rays, so s = d).  `rays` describes the rows' layout: a state on a few
+    rays of a large register is passed as its nonzero amplitudes alone.
 
     Input k is |0> on the ancilla, amplitudes[k] in the chosen voter's
     register, and fixed basis ballots elsewhere; the ideal output carries
@@ -161,23 +165,49 @@ def cloning_fidelities(
     untouched.  Requires a circuit that copies basis ballots for this voter,
     so any fidelity below 1 on a superposition is a genuine cloning failure.
 
-    All K inputs are simulated at once on the d basis states b that sweep
+    All K inputs are simulated at once on the basis states b that sweep
     the voter register: b goes to ancilla a_b, the rule's outcome rank (0
     past n!), with b kept, so F_k = |sum_b conj(psi_k[a_b] psi_k[b])
-    psi_k[b]|^2.  Voter, fillers and shape are checked once.
+    psi_k[b]|^2, where only the rays b of the support add a term and
+    psi_k[a_b] is 0 when a_b lies off it.  With two rows or more, numpy
+    adds the terms in ascending b order, one row of the [s, K] terms at a
+    time, so the fidelities equal the dense call's on the zero-padded rows
+    bit for bit.  Voter, fillers, rays and shape are checked once.
     """
     if voter not in circuit.copied_voters:
         raise ValueError(f"circuit does not copy voter {voter} on basis profiles")
     d = circuit.space.d
     psi = np.asarray(amplitudes, dtype=complex)
-    if psi.ndim != 2 or psi.shape[1] != d:
-        raise ValueError(f"amplitudes must be rows of {d} entries, got shape {psi.shape}")
+    support = None if rays is None else _support(rays, d)
+    width = d if support is None else len(support)
+    if psi.ndim != 2 or psi.shape[1] != width:
+        raise ValueError(f"amplitudes must be rows of {width} entries, got shape {psi.shape}")
     if not (np.abs(np.linalg.norm(psi, axis=1) - 1.0) <= NORM_TOL).all():  # NaN fails too
         raise ValueError("state is not normalized")
     a = np.pad(circuit.rule.swept_ranks(voter, fillers), (0, d - circuit.space.ballots))
-    rows = psi.T  # [d, K]: each overlap adds its d terms in b order, one row at a time
-    overlaps = (np.conj(rows[a] * rows) * rows).sum(axis=0)
+    rows = psi.T  # [s, K]: each overlap adds its s terms in b order, one row at a time
+    if support is None:
+        images = rows[a]
+    else:  # a_b's row of the support, or a zero row appended past it
+        at = np.full(d, width)
+        at[support] = np.arange(width)
+        images = np.vstack([rows, np.zeros(len(psi))])[at[a[support]]]
+    overlaps = (np.conj(images * rows) * rows).sum(axis=0)
     return np.abs(overlaps) ** 2
+
+
+def _support(rays: Sequence[int], d: int) -> np.ndarray:
+    """rays as an intp array, once they are checked to be ascending,
+    distinct rays of a d-level register; numpy would wrap a ray of -1."""
+    support = np.asarray(rays)
+    if support.ndim != 1 or (support.size and support.dtype.kind not in "iu"):
+        raise ValueError(f"rays must be a flat list of integers, got {support.dtype}"
+                         f" entries in shape {support.shape}")
+    if (support[1:] <= support[:-1]).any():
+        raise ValueError("rays must be ascending and distinct")
+    if support.size and not 0 <= support[0] <= support[-1] < d:
+        raise ValueError(f"rays must lie in 0..{d - 1}, got {support[0]}..{support[-1]}")
+    return support.astype(np.intp)
 
 
 def cloning_fidelity(
@@ -221,9 +251,9 @@ def no_cloning_scan(
 
     Default sampling draws all trials angles theta uniformly on [0, pi/2]
     in one call, the same stream as one draw per trial, and tests
-    cos(theta)|b0> + sin(theta)|b1> on the first two ballot rays, so runs
-    are reproducible from the seed.  Every sample goes through one
-    cloning_fidelities call.  States whose largest amplitude reaches
+    cos(theta)|b0> + sin(theta)|b1> on the first two ballot rays, stored as
+    [trials, 2] amplitudes on rays (0, 1), so runs are reproducible from
+    the seed.  Every sample goes through one cloning_fidelities call.  States whose largest amplitude reaches
     1 - BASIS_TOL count as basis-like; every other sample must clone with
     fidelity strictly below 1 - 1e-6 for the report to certify failure.
     """
@@ -242,10 +272,11 @@ def no_cloning_scan(
         thetas = [None] * len(amps)
     else:
         thetas = np.random.default_rng(seed).uniform(0.0, np.pi / 2, trials).tolist()
-        amps = np.zeros((trials, space.d), dtype=complex)
+        amps = np.zeros((trials, 2), dtype=complex)
         amps[:, 0], amps[:, 1] = np.cos(thetas), np.sin(thetas)
 
-    fidelities = cloning_fidelities(circuit, voter, amps)
+    rays = None if states is not None else (0, 1)
+    fidelities = cloning_fidelities(circuit, voter, amps, rays=rays)
     basis_like = np.abs(np.abs(amps).max(axis=1) - 1.0) <= BASIS_TOL
     worst = int(np.argmin(fidelities))
     return NoCloningReport(

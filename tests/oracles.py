@@ -8,7 +8,7 @@ functions.
 
 from functools import reduce
 from itertools import combinations, permutations, product
-from math import factorial
+from math import factorial, pi
 
 import numpy as np
 
@@ -382,3 +382,29 @@ VERIFY_ARROW_REPORT_SHA256 = {
     (4, 2): "a8627c997fc4ff446c33afa87dde4696963a08276cea2e67f429237a8164f459",
     (4, 8): "ee4b5976aa23221672476393cf7ef595ac051536310b18d3110ad0102422e863",
 }
+
+
+def theta_grid(seed, count=256):
+    """--theta text of count sorted angles on [0, pi/2]: both ends and
+    count - 2 seeded uniform draws, the grid the cloning benchmark sends."""
+    rng = np.random.default_rng(seed)
+    thetas = sorted([0.0, pi / 2] + rng.uniform(0.0, pi / 2, count - 2).tolist())
+    return ",".join(map(repr, thetas))
+
+
+# sha256 of the stdout of `arrowq clone-test` with the default seed and no
+# guard override, run in a directory whose rule.json holds
+# projection_rule(3, 3, 1) as a table; frozen from reports whose angle grid
+# was a dense [K, d] array.  "grid" and "table" cases pass theta_grid(27).
+CLONE_TEST_REPORT_SHA256 = {
+    "default@2x3": "85f75c14647c9578904952c8ef27a96a68f20c5b2c42fde6ddef3d033452d6f5",
+    "grid@3x3": "118dbf3641684a873951bc36ce3fbffc3069790dd0405bc60b5cdc55308523de",
+    "grid@4x5": "b34f3d47207c235ac16ff85ce1fb010eda6cc68d9442761a8906366f36b73a04",
+    "grid@4x8": "833fc08946dc14d81369657fc313535f075e1cb6db619d2c5fdf6798a62e713e",
+    "table@3x3": "35a9c2d0cb832cee2da67dff0b291ddd681fe0516c048c24928566a2eedd4a9f",
+}
+
+# sha256 of json.dumps(asdict(report), sort_keys=True, indent=2) for
+# no_cloning_scan(BallotSpace(3, 8), trials=300, seed=5), where d = 8 > 3!;
+# frozen from the scan that sampled dense [trials, d] rows.
+NO_CLONING_SCAN_D8_SHA256 = "42fe55e9c180cb7e5703aa54cebde29f74e93f0a52dc842db2e7762b234898a0"

@@ -402,6 +402,42 @@ def test_clone_test_passes_past_the_dense_table(tmp_path, monkeypatch, capsys, m
         assert results["basis_fidelity"] == [1.0] * factorial(n) and results["basis_ok"]
 
 
+_THETA_GRID = oracles.theta_grid(27)
+_CLONE_TEST_ARGV = {
+    "default@2x3": (),
+    "grid@3x3": ("--theta", _THETA_GRID, "--voters", "3", "--alternatives", "3"),
+    "grid@4x5": ("--theta", _THETA_GRID, "--voters", "4", "--alternatives", "5"),
+    "grid@4x8": ("--theta", _THETA_GRID, "--voters", "4", "--alternatives", "8"),
+    "table@3x3": ("--theta", _THETA_GRID, "--rule", "rule.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(oracles.CLONE_TEST_REPORT_SHA256))
+def test_clone_test_reports_match_their_frozen_digests(tmp_path, monkeypatch, capsys, case):
+    # the report names its rule file, so the file sits at one relative path
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rule.json").write_text(
+        json.dumps(rule_to_json_dict(projection_rule(3, 3, 1).as_table())))
+    code, out, _ = run_main(capsys, "clone-test", *_CLONE_TEST_ARGV[case])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == oracles.CLONE_TEST_REPORT_SHA256[case]
+
+
+def test_clone_test_on_a_large_register_holds_only_the_two_rays(monkeypatch, capsys):
+    # 256 angles on the 8! = 40,320 rays of (4,8): a dense [K, d] angle grid
+    # and its [d, K] temporaries traced about 500 MB
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    tracemalloc.start()
+    try:
+        code, out, _ = run_main(capsys, "clone-test", *_CLONE_TEST_ARGV["grid@4x8"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert peak < 40 << 20
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -834,6 +870,29 @@ def test_report_writer_writes_digit_arrays_as_their_lists(array, depth, key, pie
 def test_report_writer_refuses_arrays_it_cannot_write(array):
     with pytest.raises(ValueError):
         cli._encode({"rules": array})
+
+
+def test_report_writer_encodes_a_shared_list_once_per_indent(monkeypatch, capsys):
+    shared = [0.1, 2, None, "x", True]
+    report = {"a": shared, "b": shared, "c": {"d": shared, "e": [shared, (1, shared)]}}
+    expected = json.dumps(report, sort_keys=True, indent=2)
+    encoded, real = [], json.JSONEncoder.encode
+
+    def encode(self, value):
+        encoded.append(value)
+        return real(self, value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json.JSONEncoder, "encode", encode)
+        assert cli._encode(report) == expected
+    # five places at four indents: "a" and "b", "d", and each of the two in "e"
+    assert sum(value is shared for value in encoded) == 4
+    cli._emit(report, "-")
+    assert capsys.readouterr().out == expected + "\n"
+    # the texts last one call: a list mutated after it is written afresh
+    shared[1:] = [[3]]
+    cli._emit(report, "-")
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def test_every_subcommand_report_has_the_stdlib_layout(tmp_path, capsys):

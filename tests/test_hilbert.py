@@ -1,3 +1,5 @@
+import hashlib
+import json
 from functools import reduce
 from math import cos, factorial, pi, sin
 
@@ -365,6 +367,63 @@ def test_batched_fidelities_check_shape_and_row_norms(amplitudes, message):
     circ = lift_rule_to_unitary(SPACE, projection_rule(2, 3, 0))
     with pytest.raises(ValueError, match=message):
         cloning_fidelities(circ, 0, amplitudes)
+
+
+# subsets that miss ray 0, ray 1 or both, and one past the ballots alone
+_FIXED_SUPPORTS = [[1], [0, 1], [1, 2], [2, 3, 5], [0, 7], [6, 7], [1, 6, 7]]
+
+
+@pytest.mark.parametrize("form", ["pairwise", "table"])
+@pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (3, 3), (2, 3), (4, 2)])
+def test_fidelities_on_a_support_equal_the_dense_call(n, m, form):
+    # a ray past n! goes to ancilla 0, which a support without ray 0 leaves
+    # off: its image is the zero the dense row holds there
+    rng = np.random.default_rng(100 * n + m)
+    d = factorial(n) + 2
+    space = BallotSpace(n, d)
+    supports = [r for r in _FIXED_SUPPORTS if max(r) < d]
+    supports += [np.sort(rng.choice(d, rng.integers(1, d + 1), replace=False)).tolist()
+                 for _ in range(6)] + [list(range(d))]
+    for voter in range(m):
+        rule = projection_rule(m, n, voter)
+        circuit = lift_rule_to_unitary(space, rule if form == "pairwise" else rule.as_table())
+        fillers = [oracles.all_rankings(n)[r] for r in rng.integers(factorial(n), size=m - 1)]
+        for rays in supports:
+            rows = _random_states(rng, int(rng.integers(2, 6)), len(rays))
+            dense = np.zeros((len(rows), d), dtype=complex)
+            dense[:, rays] = rows
+            on_support = cloning_fidelities(circuit, voter, rows, fillers, rays=rays)
+            assert np.array_equal(on_support, cloning_fidelities(circuit, voter, dense, fillers))
+            for row, fidelity in zip(dense, on_support):  # one row: the same sum to rounding
+                assert abs(cloning_fidelity(circuit, voter, PureState(row, d), fillers)
+                           - fidelity) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "rays, width, message",
+    [
+        ([0, 0], 2, "rays must be ascending and distinct"),
+        ([1, 0], 2, "rays must be ascending and distinct"),
+        ([0, 6], 2, r"rays must lie in 0\.\.5, got 0\.\.6"),
+        ([-1], 1, r"rays must lie in 0\.\.5, got -1\.\.-1"),
+        ([0.0, 1.0], 2, r"rays must be a flat list of integers, got float64 entries in shape \(2,\)"),
+        ([[0, 1]], 2, r"rays must be a flat list of integers, got \w+ entries in shape \(1, 2\)"),
+        ([0, 1], 3, "rows of 2 entries, got shape"),
+    ],
+    ids=["duplicate", "unsorted", "past-d", "minus-one", "non-integer", "nested", "width"],
+)
+def test_fidelities_refuse_a_malformed_support(rays, width, message):
+    # numpy would wrap ray -1 onto ray 5 and read a wrong amplitude there
+    circ = lift_rule_to_unitary(SPACE, projection_rule(2, 3, 0))
+    with pytest.raises(ValueError, match=message) as refused:
+        cloning_fidelities(circ, 0, np.full((2, width), width ** -0.5), rays=rays)
+    assert "\n" not in str(refused.value)
+
+
+def test_no_cloning_scan_past_the_ballots_matches_its_frozen_digest():
+    report = no_cloning_scan(BallotSpace(3, 8), trials=300, seed=5)
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == oracles.NO_CLONING_SCAN_D8_SHA256
 
 
 @pytest.mark.parametrize("m, seed", sorted(oracles.NO_CLONING_SCAN_REPORTS))
