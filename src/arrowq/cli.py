@@ -227,7 +227,7 @@ def _run_clone_test(args):
     }
 
     # cos(theta)|b0> + sin(theta)|b1>, stored on the two rays it occupies
-    amps = [(cos(theta), sin(theta)) for theta in thetas]
+    amps = list(zip(map(cos, thetas), map(sin, thetas)))
     fidelities = cloning_fidelities(circuit, voter, amps, rays=(0, 1)).tolist()
     predicted = [(c ** 3 + s ** 3) ** 2 for c, s in amps]
     formula_error = max(map(abs, map(sub, fidelities, predicted)))

@@ -205,7 +205,7 @@ def _support(rays: Sequence[int], d: int) -> np.ndarray:
                          f" entries in shape {support.shape}")
     if (support[1:] <= support[:-1]).any():
         raise ValueError("rays must be ascending and distinct")
-    if support.size and not 0 <= support[0] <= support[-1] < d:
+    if support.size and (support[0] < 0 or support[-1] >= d):
         raise ValueError(f"rays must lie in 0..{d - 1}, got {support[0]}..{support[-1]}")
     return support.astype(np.intp)
 
@@ -251,11 +251,12 @@ def no_cloning_scan(
 
     Default sampling draws all trials angles theta uniformly on [0, pi/2]
     in one call, the same stream as one draw per trial, and tests
-    cos(theta)|b0> + sin(theta)|b1> on the first two ballot rays, stored as
-    [trials, 2] amplitudes on rays (0, 1), so runs are reproducible from
-    the seed.  Every sample goes through one cloning_fidelities call.  States whose largest amplitude reaches
-    1 - BASIS_TOL count as basis-like; every other sample must clone with
-    fidelity strictly below 1 - 1e-6 for the report to certify failure.
+    cos(theta)|b0> + sin(theta)|b1> on the first two ballot rays, so runs
+    are reproducible from the seed; those samples are [trials, 2] rows on
+    rays (0, 1).  Every sample goes through one cloning_fidelities call.
+    States whose largest amplitude reaches 1 - BASIS_TOL count as
+    basis-like; every other sample must clone with fidelity strictly below
+    1 - 1e-6 for the report to certify failure.
     """
     circuit = lift_rule_to_unitary(space, projection_rule(m, space.n, voter))
     threshold = 1.0 - 1e-6
@@ -269,13 +270,13 @@ def no_cloning_scan(
         if any(st.dim != space.d or st.registers != 1 for st in states):
             raise ValueError("psi must be a single-register state of the circuit's space")
         amps = np.array([st.amplitudes for st in states])
-        thetas = [None] * len(amps)
+        thetas, rays = [None] * len(amps), None
     else:
         thetas = np.random.default_rng(seed).uniform(0.0, np.pi / 2, trials).tolist()
         amps = np.zeros((trials, 2), dtype=complex)
         amps[:, 0], amps[:, 1] = np.cos(thetas), np.sin(thetas)
+        rays = (0, 1)
 
-    rays = None if states is not None else (0, 1)
     fidelities = cloning_fidelities(circuit, voter, amps, rays=rays)
     basis_like = np.abs(np.abs(amps).max(axis=1) - 1.0) <= BASIS_TOL
     worst = int(np.argmin(fidelities))
