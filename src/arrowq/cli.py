@@ -17,7 +17,6 @@ import time
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from math import cos, inf, isfinite, pi, sin, sqrt
-from operator import sub
 from types import NoneType
 
 import numpy as np
@@ -194,8 +193,9 @@ def _run_verify_arrow(args):
 
 
 def _run_clone_test(args):
-    thetas = list(DEFAULT_THETAS if args.theta is None
-                  else map(float, filter(str.strip, args.theta.split(","))))
+    thetas = list(DEFAULT_THETAS if args.theta is None else (
+        float(x) for x in args.theta.split(",") if x.strip()
+    ))
     if not thetas:  # no superposition tested is no pass
         raise ValueError(f"--theta lists no angle: {args.theta!r}")
     if not all(map(isfinite, thetas)):
@@ -227,10 +227,10 @@ def _run_clone_test(args):
     }
 
     # cos(theta)|b0> + sin(theta)|b1>, stored on the two rays it occupies
-    amps = list(zip(map(cos, thetas), map(sin, thetas)))
+    amps = [(cos(theta), sin(theta)) for theta in thetas]
     fidelities = cloning_fidelities(circuit, voter, amps, rays=(0, 1)).tolist()
     predicted = [(c ** 3 + s ** 3) ** 2 for c, s in amps]
-    formula_error = max(map(abs, map(sub, fidelities, predicted)))
+    formula_error = max(abs(f - p) for f, p in zip(fidelities, predicted))
 
     # basis ray k clones exactly when the circuit writes k into the ancilla
     basis_fid = (rule.swept_ranks(voter) == np.arange(space.ballots)).astype(float).tolist()

@@ -178,20 +178,17 @@ def cloning_fidelities(
         raise ValueError(f"circuit does not copy voter {voter} on basis profiles")
     d = circuit.space.d
     psi = np.asarray(amplitudes, dtype=complex)
-    support = None if rays is None else _support(rays, d)
-    width = d if support is None else len(support)
-    if psi.ndim != 2 or psi.shape[1] != width:
-        raise ValueError(f"amplitudes must be rows of {width} entries, got shape {psi.shape}")
+    support = np.arange(d) if rays is None else _support(rays, d)
+    s = len(support)
+    if psi.ndim != 2 or psi.shape[1] != s:
+        raise ValueError(f"amplitudes must be rows of {s} entries, got shape {psi.shape}")
     if not (np.abs(np.linalg.norm(psi, axis=1) - 1.0) <= NORM_TOL).all():  # NaN fails too
         raise ValueError("state is not normalized")
     a = np.pad(circuit.rule.swept_ranks(voter, fillers), (0, d - circuit.space.ballots))
     rows = psi.T  # [s, K]: each overlap adds its s terms in b order, one row at a time
-    if support is None:
-        images = rows[a]
-    else:  # a_b's row of the support, or a zero row appended past it
-        at = np.full(d, width)
-        at[support] = np.arange(width)
-        images = np.vstack([rows, np.zeros(len(psi))])[at[a[support]]]
+    at = np.full(d, s)  # a_b's row of the support, or a zero row appended past it
+    at[support] = np.arange(s)
+    images = np.vstack([rows, np.zeros(len(psi))])[at[a[support]]]
     overlaps = (np.conj(images * rows) * rows).sum(axis=0)
     return np.abs(overlaps) ** 2
 
