@@ -43,7 +43,8 @@ def unit_axis(v) -> np.ndarray:
     axis = np.asarray(v, dtype=float)
     if axis.shape != (3,):
         raise ValueError("axis must be a 3-vector")
-    if not abs(float(np.linalg.norm(axis)) - 1.0) <= AXIS_TOL:  # NaN and inf fail too
+    # sqrt(a . a) is np.linalg.norm of a real 1-D array, without its wrapper
+    if not abs(sqrt(axis.dot(axis)) - 1.0) <= AXIS_TOL:  # NaN and inf fail too
         raise ValueError(f"axis {axis.tolist()} is not a finite unit vector")
     return axis
 
@@ -114,12 +115,31 @@ def _result(name, value, lower, upper, axes) -> InequalityResult:
     return InequalityResult(name, value, lower, upper, violated, axes)
 
 
+def _inequalities(state: PureState, axes=None) -> tuple[InequalityResult, InequalityResult]:
+    """The CHSH and CH results on one Bloch decomposition of the state, at
+    axes (a1, a2, b1, b2) that unit_axis has already checked, or, with axes
+    None, at maximize_violation's axes, each checked here once."""
+    bloch = _bloch(state)
+    r_a, r_b, t = bloch
+    if axes is None:
+        axes = tuple(map(unit_axis, _optimal_axes(t)[0]))
+    a1, a2, b1, b2 = axes
+    s = float(a1 @ t @ (b1 + b2) + a2 @ t @ (b1 - b2))
+    ch = (
+        _joint_plus(bloch, a1, b1)
+        + _joint_plus(bloch, a1, b2)
+        + _joint_plus(bloch, a2, b1)
+        - _joint_plus(bloch, a2, b2)
+        - float(1.0 + r_a @ a1) / 2.0
+        - float(1.0 + r_b @ b1) / 2.0
+    )
+    pairs = ((a1, a2), (b1, b2))
+    return _result("CHSH", s, -2.0, 2.0, pairs), _result("CH", ch, -1.0, 0.0, pairs)
+
+
 def chsh_value(state: PureState, a1, a2, b1, b2) -> InequalityResult:
     """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2); local bound |S| <= 2."""
-    a1, a2, b1, b2 = (unit_axis(v) for v in (a1, a2, b1, b2))
-    _, _, t = _bloch(state)
-    s = float(a1 @ t @ (b1 + b2) + a2 @ t @ (b1 - b2))
-    return _result("CHSH", s, -2.0, 2.0, ((a1, a2), (b1, b2)))
+    return _inequalities(state, tuple(map(unit_axis, (a1, a2, b1, b2))))[0]
 
 
 def ch_value(state: PureState, a1, a2, b1, b2) -> InequalityResult:
@@ -130,18 +150,7 @@ def ch_value(state: PureState, a1, a2, b1, b2) -> InequalityResult:
     bounded by [-1, 0] for local strategies and tied to the correlator form
     by CH = (S - 2)/4 on any shared state, same axes.
     """
-    a1, a2, b1, b2 = (unit_axis(v) for v in (a1, a2, b1, b2))
-    bloch = _bloch(state)
-    r_a, r_b, _ = bloch
-    value = (
-        _joint_plus(bloch, a1, b1)
-        + _joint_plus(bloch, a1, b2)
-        + _joint_plus(bloch, a2, b1)
-        - _joint_plus(bloch, a2, b2)
-        - float(1.0 + r_a @ a1) / 2.0
-        - float(1.0 + r_b @ b1) / 2.0
-    )
-    return _result("CH", value, -1.0, 0.0, ((a1, a2), (b1, b2)))
+    return _inequalities(state, tuple(map(unit_axis, (a1, a2, b1, b2))))[1]
 
 
 def chsh_optimal_axes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -272,20 +281,24 @@ def default_scenario() -> TwoPartyScenario:
 
 def scenario_from_json_dict(data: dict) -> TwoPartyScenario:
     """A scenario from its JSON object; absent keys take the default
-    scenario's axes or state."""
+    scenario's axes or state, built only for the keys that are absent.
+    Every key present is parsed before the scenario checks its axes."""
     if not isinstance(data, dict):
         raise ValueError(f"a scenario must be a JSON object, got {type(data).__name__}")
-    base = default_scenario()
-    alice, bob, state = base.alice_axes, base.bob_axes, base.state
+    alice = bob = None
     try:
         if "alice_axes" in data:
             alice = tuple(json_floats(a, "an axis") for a in data["alice_axes"])
         if "bob_axes" in data:
             bob = tuple(json_floats(b, "an axis") for b in data["bob_axes"])
-        if "state" in data:
-            state = PureState(json_amplitudes(data["state"], "a state amplitude"), 2, 2)
+        state = (PureState(json_amplitudes(data["state"], "a state amplitude"), 2, 2)
+                 if "state" in data else singlet_state())
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed scenario: {exc}") from exc
+    if alice is None or bob is None:
+        a1, a2, b1, b2 = chsh_optimal_axes()
+        alice = (a1, a2) if alice is None else alice
+        bob = (b1, b2) if bob is None else bob
     return TwoPartyScenario(alice, bob, state)
 
 
@@ -306,12 +319,17 @@ def maximize_violation(expression: str, state: Optional[PureState] = None):
         raise ValueError(f"unknown expression {expression!r}")
     if state is None:
         state = singlet_state()
-    _, _, t = _bloch(state)
+    axes, value = _optimal_axes(_bloch(state)[2])
+    if expr == "ch":
+        value = (value - 2.0) / 4.0
+    return axes, float(value)
+
+
+def _optimal_axes(t: np.ndarray):
+    """maximize_violation's axes (a1, a2, b1, b2) for the correlation matrix
+    t, and the maximal CHSH value 2 sqrt(s1^2 + s2^2)."""
     u, s, vt = np.linalg.svd(t)
     norm = hypot(s[0], s[1])
     b1 = (s[0] * vt[0] + s[1] * vt[1]) / norm
     b2 = (s[0] * vt[0] - s[1] * vt[1]) / norm
-    value = 2.0 * norm
-    if expr == "ch":
-        value = (value - 2.0) / 4.0
-    return (u[:, 0], u[:, 1], b1, b2), float(value)
+    return (u[:, 0], u[:, 1], b1, b2), 2.0 * norm

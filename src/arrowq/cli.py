@@ -22,17 +22,10 @@ from types import NoneType
 import numpy as np
 
 from ._guards import SizeLimitError, guard_multiplier
-from .bell import (
-    ch_value,
-    chsh_value,
-    classical_bound,
-    default_scenario,
-    maximize_violation,
-    scenario_from_json_dict,
-)
+from .bell import _inequalities, classical_bound, default_scenario, scenario_from_json_dict
 from .hilbert import (
     BallotSpace,
-    cloning_fidelities,
+    _cloning_run,
     ks_instance_from_json_dict,
     lift_rule_to_unitary,
     verify_ks_coloring,
@@ -228,12 +221,14 @@ def _run_clone_test(args):
 
     # cos(theta)|b0> + sin(theta)|b1>, stored on the two rays it occupies
     amps = [(cos(theta), sin(theta)) for theta in thetas]
-    fidelities = cloning_fidelities(circuit, voter, amps, rays=(0, 1)).tolist()
+    # one read of the swept ranks serves the fidelities and the basis check
+    clones, ranks = _cloning_run(circuit, voter, amps, rays=(0, 1))
+    fidelities = clones.tolist()
     predicted = [(c ** 3 + s ** 3) ** 2 for c, s in amps]
     formula_error = max(abs(f - p) for f, p in zip(fidelities, predicted))
 
     # basis ray k clones exactly when the circuit writes k into the ancilla
-    basis_fid = (rule.swept_ranks(voter) == np.arange(space.ballots)).astype(float).tolist()
+    basis_fid = (ranks == np.arange(space.ballots)).astype(float).tolist()
     basis_ok = all(abs(f - 1.0) <= args.tolerance for f in basis_fid)
 
     results = {
@@ -263,14 +258,13 @@ def _run_bell(args):
         "scenario_file": args.scenario,
     }
 
-    if args.optimize:
-        axes, _ = maximize_violation(name, state=scenario.state)
-    else:
+    axes = None  # --optimize: maximize_violation's axes
+    if not args.optimize:
         if len(scenario.alice_axes) < 2 or len(scenario.bob_axes) < 2:
             raise ValueError("need two axes per party")
-        axes = (*scenario.alice_axes[:2], *scenario.bob_axes[:2])
+        axes = (*scenario.alice_axes[:2], *scenario.bob_axes[:2])  # checked by the scenario
 
-    chsh, ch = chsh_value(scenario.state, *axes), ch_value(scenario.state, *axes)
+    chsh, ch = _inequalities(scenario.state, axes)
     result = chsh if name == "chsh" else ch
     identity_error = abs(ch.value - (chsh.value - 2.0) / 4.0)
     within_ceiling = abs(chsh.value) <= TSIRELSON + 1e-6

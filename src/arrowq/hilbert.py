@@ -174,6 +174,12 @@ def cloning_fidelities(
     time, so the fidelities equal the dense call's on the zero-padded rows
     bit for bit.  Voter, fillers, rays and shape are checked once.
     """
+    return _cloning_run(circuit, voter, amplitudes, fillers, rays)[0]
+
+
+def _cloning_run(circuit, voter, amplitudes, fillers=None, rays=None):
+    """cloning_fidelities, and the swept outcome ranks it read, for a caller
+    that checks the basis rays too."""
     if voter not in circuit.copied_voters:
         raise ValueError(f"circuit does not copy voter {voter} on basis profiles")
     d = circuit.space.d
@@ -184,13 +190,14 @@ def cloning_fidelities(
         raise ValueError(f"amplitudes must be rows of {s} entries, got shape {psi.shape}")
     if not (np.abs(np.linalg.norm(psi, axis=1) - 1.0) <= NORM_TOL).all():  # NaN fails too
         raise ValueError("state is not normalized")
-    a = np.pad(circuit.rule.swept_ranks(voter, fillers), (0, d - circuit.space.ballots))
+    ranks = circuit.rule.swept_ranks(voter, fillers)
+    a = np.pad(ranks, (0, d - circuit.space.ballots))
     rows = psi.T  # [s, K]: each overlap adds its s terms in b order, one row at a time
     at = np.full(d, s)  # a_b's row of the support, or a zero row appended past it
     at[support] = np.arange(s)
     images = np.vstack([rows, np.zeros(len(psi))])[at[a[support]]]
     overlaps = (np.conj(images * rows) * rows).sum(axis=0)
-    return np.abs(overlaps) ** 2
+    return np.abs(overlaps) ** 2, ranks
 
 
 def _support(rays: Sequence[int], d: int) -> np.ndarray:

@@ -404,6 +404,38 @@ CLONE_TEST_REPORT_SHA256 = {
     "table@3x3": "35a9c2d0cb832cee2da67dff0b291ddd681fe0516c048c24928566a2eedd4a9f",
 }
 
+def bell_scenario(seed):
+    """A scenario document with a seeded random two-qubit state and four
+    seeded random unit axes, built as the bell benchmark builds its file."""
+    rng = np.random.default_rng(seed)
+    unit = lambda v: v / np.linalg.norm(v)  # noqa: E731
+    amps = unit(rng.normal(size=4) + 1j * rng.normal(size=4))
+    axes = [unit(rng.normal(size=3)).tolist() for _ in range(4)]
+    return {
+        "state": [[float(z.real), float(z.imag)] for z in amps],
+        "alice_axes": axes[:2],
+        "bob_axes": axes[2:],
+    }
+
+
+# sha256 of the stdout of `arrowq bell`, run in a directory whose
+# random.json holds bell_scenario(21) and whose no-<key>.json holds it less
+# that key; frozen before the report was read off one Bloch decomposition.
+BELL_REPORT_SHA256 = {
+    "default@chsh": "463e00603b6774145d57893075915515f34c467112e0ee46513258cf81292ea6",
+    "default@ch": "c93c91f8364fce953aef2022d808bafee15977272f27bc8086d8aff2fa606378",
+    "default-optimize@chsh": "9c07d62d57e43b62f1c8244f741e4eee725bc59f01fac1be181c8b06d580334a",
+    "default-optimize@ch": "5f2c07d0bb924a7239a80c17c3acb9d1bc3bafd8d600f1462a0957737030eb1f",
+    "random@chsh": "e2373eee362627b1f2c158cc093b49b770cc7783867319247aa46ae15c1421d2",
+    "random@ch": "e23d75e679d719a795c10e5f7556cc0d19ede65d3e8a071cf6c0d7ebf9116e5d",
+    "random-optimize@chsh": "1fb80be24892592997adb5d7afddb4e629335fe24c8654437a18443cff78c797",
+    "random-optimize@ch": "48894251ce2fbf0fad66680f24366537810541bb93db0b0ec483b43c199067c8",
+    "no-alice_axes@chsh": "7b3077e0cbf235377e3e51fcb47f751be22c0b5eefdf3765637311b8dd2b67a6",
+    "no-bob_axes@ch": "5f6efa7c8e204e1f7b11beabaa5c3304311f8ef58ca63a2c1aee17befa87dab9",
+    "no-bob_axes-optimize@chsh": "42a54df82d374cc79306829298a7a009a20e31cbc715fc90129ab6ed8a540fd5",
+    "no-state@chsh": "ddb72678da3ecdf25ec66bb6f57398ad52412029ed5155138cf25f5315d600ac",
+}
+
 # sha256 of json.dumps(asdict(report), sort_keys=True, indent=2) for
 # no_cloning_scan(BallotSpace(3, 8), trials=300, seed=5), where d = 8 > 3!;
 # frozen from the scan that sampled dense [trials, d] rows.

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from arrowq import cli, social_choice
+from arrowq import bell, cli, social_choice
 from arrowq._guards import GUARD_ENV
 from arrowq.bell import chsh_value, default_scenario, scenario_from_json_dict
 from arrowq.hilbert import ks_instance_from_json_dict, ks_instance_from_rule, verify_ks_coloring
@@ -231,7 +231,7 @@ def test_clone_test_refuses_a_non_finite_angle(theta, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("a state was built")
 
-    monkeypatch.setattr(cli, "cloning_fidelities", refuse)
+    monkeypatch.setattr(cli, "_cloning_run", refuse)
     assert run_main(capsys, "clone-test", "--theta", theta) == (
         2, "", f"error: --theta lists a non-finite angle: {theta!r}\n")
 
@@ -424,6 +424,28 @@ def test_clone_test_reports_match_their_frozen_digests(tmp_path, monkeypatch, ca
     assert hashlib.sha256(out.encode()).hexdigest() == oracles.CLONE_TEST_REPORT_SHA256[case]
 
 
+@pytest.mark.parametrize("case", ["default@2x3", "grid@4x5", "table@3x3"])
+def test_clone_test_reads_its_swept_ranks_once(tmp_path, monkeypatch, capsys, case):
+    # the fidelities and the basis check read the same n! swept outcomes;
+    # at (4,8) one read takes tens of milliseconds
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "rule.json").write_text(
+        json.dumps(rule_to_json_dict(projection_rule(3, 3, 1).as_table())))
+    calls = []
+    swept_ranks = social_choice.VotingRule.swept_ranks
+
+    def counted(rule, *args):
+        calls.append(args)
+        return swept_ranks(rule, *args)
+
+    monkeypatch.setattr(social_choice.VotingRule, "swept_ranks", counted)
+    code, out, _ = run_main(capsys, "clone-test", *_CLONE_TEST_ARGV[case])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == oracles.CLONE_TEST_REPORT_SHA256[case]
+    assert len(calls) == 1
+
+
 def test_clone_test_on_a_large_register_holds_only_the_two_rays(monkeypatch, capsys):
     # 256 angles on the 8! = 40,320 rays of (4,8): a dense [K, d] angle grid
     # and its [d, K] temporaries traced about 500 MB
@@ -486,14 +508,19 @@ def test_bell_ch_optimized():
 
 @pytest.mark.parametrize("inequality", ["chsh", "ch"])
 def test_bell_evaluates_each_inequality_once(monkeypatch, capsys, inequality):
-    counts = {}
-    for name in ("chsh_value", "ch_value"):
-        def counted(*args, _fn=getattr(cli, name), _name=name):
-            counts[_name] = counts.get(_name, 0) + 1
-            return _fn(*args)
-        monkeypatch.setattr(cli, name, counted)
+    # one evaluator call gives both results, and chsh_value and ch_value
+    # each make one, so any second evaluation of either is counted
+    calls = []
+    evaluate = bell._inequalities
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(bell, "_inequalities", counted)
+    monkeypatch.setattr(cli, "_inequalities", counted)
     assert cli.main(["bell", "--inequality", inequality]) == 0
-    assert counts == {"chsh_value": 1, "ch_value": 1}
+    assert len(calls) == 1
     results = json.loads(capsys.readouterr().out)["results"]
     companion = "chsh_companion_value" if inequality == "chsh" else "ch_companion_value"
     assert results["value"] == results[companion]
@@ -567,6 +594,115 @@ def test_bell_scenario_needs_two_axes_per_party(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run_main(capsys, "bell", "--scenario", str(path)) == (
         2, "", "error: need two axes per party\n")
+
+
+_BELL_ARGV = {
+    "default@chsh": (),
+    "default@ch": ("--inequality", "ch"),
+    "default-optimize@chsh": ("--optimize",),
+    "default-optimize@ch": ("--inequality", "ch", "--optimize"),
+    "random@chsh": ("--scenario", "random.json"),
+    "random@ch": ("--inequality", "ch", "--scenario", "random.json"),
+    "random-optimize@chsh": ("--optimize", "--scenario", "random.json", "--seed", "21"),
+    "random-optimize@ch": ("--inequality", "ch", "--optimize", "--scenario", "random.json",
+                           "--seed", "21"),
+    "no-alice_axes@chsh": ("--scenario", "no-alice_axes.json"),
+    "no-bob_axes@ch": ("--inequality", "ch", "--scenario", "no-bob_axes.json"),
+    "no-bob_axes-optimize@chsh": ("--optimize", "--scenario", "no-bob_axes.json"),
+    "no-state@chsh": ("--scenario", "no-state.json"),
+}
+
+
+def _write_bell_scenarios(directory):
+    """random.json holds oracles.bell_scenario(21); no-<key>.json holds it
+    less that key."""
+    doc = oracles.bell_scenario(21)
+    (directory / "random.json").write_text(json.dumps(doc))
+    for key in doc:
+        (directory / f"no-{key}.json").write_text(
+            json.dumps({k: v for k, v in doc.items() if k != key}))
+
+
+@pytest.mark.parametrize("case", sorted(oracles.BELL_REPORT_SHA256))
+def test_bell_reports_match_their_frozen_digests(tmp_path, monkeypatch, capsys, case):
+    # the report names its scenario file, so the files sit at relative paths
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
+    _write_bell_scenarios(tmp_path)
+    code, out, _ = run_main(capsys, "bell", *_BELL_ARGV[case])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == oracles.BELL_REPORT_SHA256[case]
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        ({"alice_axes": [[1, 1, 0], [1, 0, 0]]}, "axis [1.0, 1.0, 0.0] is not a finite unit vector"),
+        ({"bob_axes": [[0, 0, 1], [0.6, 0.6, 0]]}, "axis [0.6, 0.6, 0.0] is not a finite unit vector"),
+        ({"state": [[1, 0], ["0", 0], [0, 0], [0, 0]]},
+         "malformed scenario: a state amplitude must be an [re, im] pair of numbers, got ['0', 0]"),
+        ({"state": [[1, 0], [1, 0], [0, 0], [0, 0]]}, "malformed scenario: state is not normalized"),
+        ([0, 0, 1], "a scenario must be a JSON object, got list"),
+    ],
+)
+def test_bell_refusals_keep_their_line(tmp_path, capsys, doc, line):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert run_main(capsys, "bell", "--optimize", "--scenario", str(path)) == (
+        2, "", f"error: {line}\n")
+
+
+# a value of each key that fails to parse, and the line it gives
+_UNPARSABLE = {
+    "alice_axes": ([[0, 0, True], [1, 0, 0]], "an axis must be a list of numbers"),
+    "bob_axes": ([[0, 0, 1], "x"], "an axis must be a list of numbers"),
+    "state": ([[1, 0], [0, None], [0, 0], [0, 0]], "a state amplitude must be"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_UNPARSABLE))
+def test_a_malformed_key_reads_the_same_whatever_else_the_file_holds(tmp_path, capsys, key):
+    # keys are parsed before any default stands in for a missing one and
+    # before the scenario checks its axes, so another key's absence, or a
+    # non-unit axis under it, never changes the line
+    value, fragment = _UNPARSABLE[key]
+    doc = dict(oracles.bell_scenario(21), **{key: value})
+    others = [k for k in doc if k != key]
+    variants = [doc] + [{k: v for k, v in doc.items() if k != other} for other in others]
+    variants += [dict(doc, **{other: [[1, 1, 0], [1, 0, 0]]})
+                 for other in others if other != "state"]
+    path = tmp_path / "scenario.json"
+    lines = set()
+    for variant in variants:
+        path.write_text(json.dumps(variant))
+        code, out, err = run_main(capsys, "bell", "--scenario", str(path))
+        assert (code, out) == (2, "")
+        lines.add(err)
+    (line,) = lines
+    assert line.startswith("error: malformed scenario: ") and fragment in line
+
+
+@pytest.mark.parametrize("case", sorted(c for c in _BELL_ARGV if not c.startswith("no-")))
+def test_bell_reads_one_bloch_decomposition_and_checks_each_axis_once(
+        tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    _write_bell_scenarios(tmp_path)
+    calls = {"_bloch": 0, "unit_axis": 0, "default_scenario": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(bell, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(bell, name, counted)
+        monkeypatch.setattr(cli, name, counted, raising=False)
+    code, out, _ = run_main(capsys, "bell", *_BELL_ARGV[case])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == oracles.BELL_REPORT_SHA256[case]
+    # the scenario checks its four axes; the optimizer's four are checked once more
+    assert calls == {
+        "_bloch": 1,
+        "unit_axis": 8 if "--optimize" in _BELL_ARGV[case] else 4,
+        "default_scenario": 0 if "--scenario" in _BELL_ARGV[case] else 1,
+    }
 
 
 def test_bell_budget_flag_is_gone():
