@@ -167,27 +167,19 @@ def classical_bound(expression: str) -> tuple[float, float]:
     every assignment of a fixed +-1 outcome to each of the two settings of
     each party."""
     expr = expression.lower()
-    lo, hi = np.inf, -np.inf
-    for alpha in product((-1.0, 1.0), repeat=2):
-        for beta in product((-1.0, 1.0), repeat=2):
-            if expr == "chsh":
-                val = (
-                    alpha[0] * beta[0]
-                    + alpha[0] * beta[1]
-                    + alpha[1] * beta[0]
-                    - alpha[1] * beta[1]
-                )
-            elif expr == "ch":
-                p = [[(1 + a) * (1 + b) / 4.0 for b in beta] for a in alpha]
-                val = (
-                    p[0][0] + p[0][1] + p[1][0] - p[1][1]
-                    - (1 + alpha[0]) / 2.0
-                    - (1 + beta[0]) / 2.0
-                )
-            else:
-                raise ValueError(f"unknown expression {expression!r}")
-            lo, hi = min(lo, val), max(hi, val)
-    return float(lo), float(hi)
+    strategies = product((-1.0, 1.0), repeat=4)  # outcomes (a1, a2, b1, b2)
+    if expr == "chsh":
+        values = [a1 * b1 + a1 * b2 + a2 * b1 - a2 * b2 for a1, a2, b1, b2 in strategies]
+    elif expr == "ch":
+        # P(+1, +1) at settings (i, j) is (1 + a_i)(1 + b_j)/4, P(+1) at a1 is (1 + a1)/2
+        values = [
+            (1 + a1) * (1 + b1) / 4.0 + (1 + a1) * (1 + b2) / 4.0 + (1 + a2) * (1 + b1) / 4.0
+            - (1 + a2) * (1 + b2) / 4.0 - (1 + a1) / 2.0 - (1 + b1) / 2.0
+            for a1, a2, b1, b2 in strategies
+        ]
+    else:
+        raise ValueError(f"unknown expression {expression!r}")
+    return float(min(values)), float(max(values))
 
 
 # ---- ballot embedding ----
