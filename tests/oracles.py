@@ -404,6 +404,7 @@ CLONE_TEST_REPORT_SHA256 = {
     "table@3x3": "35a9c2d0cb832cee2da67dff0b291ddd681fe0516c048c24928566a2eedd4a9f",
 }
 
+
 def bell_scenario(seed):
     """A scenario document with a seeded random two-qubit state and four
     seeded random unit axes, built as the bell benchmark builds its file."""

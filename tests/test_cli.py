@@ -685,6 +685,7 @@ def test_a_malformed_key_reads_the_same_whatever_else_the_file_holds(tmp_path, c
 @pytest.mark.parametrize("case", sorted(c for c in _BELL_ARGV if not c.startswith("no-")))
 def test_bell_reads_one_bloch_decomposition_and_checks_each_axis_once(
         tmp_path, monkeypatch, capsys, case):
+    monkeypatch.delenv(GUARD_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     _write_bell_scenarios(tmp_path)
     calls = {"_bloch": 0, "unit_axis": 0, "default_scenario": 0}
