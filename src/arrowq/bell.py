@@ -120,12 +120,20 @@ def _inequalities(state: PureState, axes=None) -> tuple[InequalityResult, Inequa
     axes (a1, a2, b1, b2) that unit_axis has already checked, or, with axes
     None, at maximize_violation's axes, each checked here once."""
     bloch = _bloch(state)
-    r_a, r_b, t = bloch
     if axes is None:
-        axes = tuple(map(unit_axis, _optimal_axes(t)[0]))
-    a1, a2, b1, b2 = axes
+        axes = tuple(map(unit_axis, _optimal_axes(bloch[2])[0]))
+    return _chsh(bloch, *axes), _ch(bloch, *axes)
+
+
+def _chsh(bloch, a1, a2, b1, b2) -> InequalityResult:
+    _, _, t = bloch
     s = float(a1 @ t @ (b1 + b2) + a2 @ t @ (b1 - b2))
-    ch = (
+    return _result("CHSH", s, -2.0, 2.0, ((a1, a2), (b1, b2)))
+
+
+def _ch(bloch, a1, a2, b1, b2) -> InequalityResult:
+    r_a, r_b, _ = bloch
+    value = (
         _joint_plus(bloch, a1, b1)
         + _joint_plus(bloch, a1, b2)
         + _joint_plus(bloch, a2, b1)
@@ -133,13 +141,13 @@ def _inequalities(state: PureState, axes=None) -> tuple[InequalityResult, Inequa
         - float(1.0 + r_a @ a1) / 2.0
         - float(1.0 + r_b @ b1) / 2.0
     )
-    pairs = ((a1, a2), (b1, b2))
-    return _result("CHSH", s, -2.0, 2.0, pairs), _result("CH", ch, -1.0, 0.0, pairs)
+    return _result("CH", value, -1.0, 0.0, ((a1, a2), (b1, b2)))
 
 
 def chsh_value(state: PureState, a1, a2, b1, b2) -> InequalityResult:
     """S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2); local bound |S| <= 2."""
-    return _inequalities(state, tuple(map(unit_axis, (a1, a2, b1, b2))))[0]
+    axes = tuple(map(unit_axis, (a1, a2, b1, b2)))
+    return _chsh(_bloch(state), *axes)
 
 
 def ch_value(state: PureState, a1, a2, b1, b2) -> InequalityResult:
@@ -150,7 +158,8 @@ def ch_value(state: PureState, a1, a2, b1, b2) -> InequalityResult:
     bounded by [-1, 0] for local strategies and tied to the correlator form
     by CH = (S - 2)/4 on any shared state, same axes.
     """
-    return _inequalities(state, tuple(map(unit_axis, (a1, a2, b1, b2))))[1]
+    axes = tuple(map(unit_axis, (a1, a2, b1, b2)))
+    return _ch(_bloch(state), *axes)
 
 
 def chsh_optimal_axes() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

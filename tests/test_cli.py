@@ -508,19 +508,15 @@ def test_bell_ch_optimized():
 
 @pytest.mark.parametrize("inequality", ["chsh", "ch"])
 def test_bell_evaluates_each_inequality_once(monkeypatch, capsys, inequality):
-    # one evaluator call gives both results, and chsh_value and ch_value
-    # each make one, so any second evaluation of either is counted
-    calls = []
-    evaluate = bell._inequalities
-
-    def counted(*args):
-        calls.append(args)
-        return evaluate(*args)
-
-    monkeypatch.setattr(bell, "_inequalities", counted)
-    monkeypatch.setattr(cli, "_inequalities", counted)
+    # chsh_value, ch_value and the report all evaluate through these two
+    counts = {}
+    for name in ("_chsh", "_ch"):
+        def counted(*args, _fn=getattr(bell, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(bell, name, counted)
     assert cli.main(["bell", "--inequality", inequality]) == 0
-    assert len(calls) == 1
+    assert counts == {"_chsh": 1, "_ch": 1}
     results = json.loads(capsys.readouterr().out)["results"]
     companion = "chsh_companion_value" if inequality == "chsh" else "ch_companion_value"
     assert results["value"] == results[companion]
