@@ -30,7 +30,7 @@ from .hilbert import (
     lift_rule_to_unitary,
     verify_ks_coloring,
 )
-from .landauer import EnergyParams, voting_energy
+from .landauer import EnergyOverflowError, EnergyParams, voting_energy
 from .social_choice import projection_rule, rule_from_json_dict, verify_arrow
 
 DEFAULT_THETAS = (0.0, pi / 8, pi / 4, 3 * pi / 8, pi / 2)
@@ -204,11 +204,10 @@ def _run_clone_test(args):
     if space.ballots < 2:
         raise ValueError("cloning superpositions need at least two ballots")
     circuit = lift_rule_to_unitary(space, rule)
-    voter = args.voter
+    # a total rule on two or more ballots copies at most one voter
+    voter = min(circuit.copied_voters, default=None)
     if voter is None:
-        voter = min(circuit.copied_voters, default=None)
-        if voter is None:
-            raise ValueError("rule has no dictator; pick --voter for a dictatorial rule")
+        raise ValueError("rule has no dictator")
 
     config = {
         "voters": m,
@@ -291,7 +290,10 @@ def _run_energy(args):
     params = EnergyParams(k=args.k, T=args.T, log_base=args.log_base)
     report = voting_energy(params, args.voters, args.alternatives, args.strategy, args.variant)
     other_name = "literal" if args.variant == "resolved" else "resolved"
-    other = voting_energy(params, args.voters, args.alternatives, args.strategy, other_name)
+    try:  # the requested ledger alone decides the exit code
+        other = voting_energy(params, args.voters, args.alternatives, args.strategy, other_name)
+    except EnergyOverflowError:
+        other = None
 
     config = {
         "voters": args.voters,
@@ -303,10 +305,8 @@ def _run_energy(args):
         "log_base": args.log_base,
     }
     results = report.to_json_dict()
-    if (other.E1, other.E2, other.E) != (report.E1, report.E2, report.E):
-        results["alternate"] = other.to_json_dict()
-    else:
-        results["alternate"] = None
+    differs = other is not None and (other.E1, other.E2, other.E) != (report.E1, report.E2, report.E)
+    results["alternate"] = other.to_json_dict() if differs else None
     passed = report.E == report.E1 + report.E2 and report.E1 >= 0 and report.E2 >= 0
     return config, results, passed
 
@@ -348,10 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(run=_run_verify_arrow)
 
-    p = sub.add_parser("clone-test", help="cloning fidelities of a dictatorial circuit")
+    # no abbreviation: the gone --voter flag must not read as --voters
+    p = sub.add_parser("clone-test", help="cloning fidelities of a dictatorial circuit",
+                       allow_abbrev=False)
     p.add_argument("--theta", default=None, help="comma-separated angles; default 0..pi/2 grid")
     p.add_argument("--rule", default=None, help="rule JSON file; default projection rule")
-    p.add_argument("--voter", type=int, default=None, help="dictator register; default auto")
     p.add_argument("--voters", type=int, default=2, help="voters for the default rule")
     p.add_argument("--alternatives", type=int, default=3, help="alternatives for the default rule")
     p.add_argument("--tolerance", type=float, default=1e-9)

@@ -247,7 +247,6 @@ def no_cloning_scan(
     space: BallotSpace,
     trials: int = 1000,
     seed: Optional[int] = 0,
-    voter: int = 0,
     m: int = 2,
     states: Optional[Sequence[PureState]] = None,
 ) -> NoCloningReport:
@@ -260,9 +259,10 @@ def no_cloning_scan(
     rays (0, 1).  Every sample goes through one cloning_fidelities call.
     States whose largest amplitude reaches 1 - BASIS_TOL count as
     basis-like; every other sample must clone with fidelity strictly below
-    1 - 1e-6 for the report to certify failure.
+    1 - 1e-6 for the report to certify failure.  The circuit lifts
+    projection_rule(m, n, 0); no report depends on the dictator or on m.
     """
-    circuit = lift_rule_to_unitary(space, projection_rule(m, space.n, voter))
+    circuit = lift_rule_to_unitary(space, projection_rule(m, space.n, 0))
     threshold = 1.0 - 1e-6
 
     if states is None and space.ballots < 2:
@@ -281,7 +281,7 @@ def no_cloning_scan(
         amps[:, 0], amps[:, 1] = np.cos(thetas), np.sin(thetas)
         rays = (0, 1)
 
-    fidelities = cloning_fidelities(circuit, voter, amps, rays=rays)
+    fidelities = cloning_fidelities(circuit, 0, amps, rays=rays)
     basis_like = np.abs(np.abs(amps).max(axis=1) - 1.0) <= BASIS_TOL
     worst = int(np.argmin(fidelities))
     return NoCloningReport(

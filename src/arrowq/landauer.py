@@ -24,7 +24,9 @@ VARIANTS = ("resolved", "literal")
 @dataclass(frozen=True)
 class EnergyParams:
     """Thermodynamic inputs: Boltzmann constant, temperature, log base
-    (None = natural log)."""
+    (None = natural log).  The one check of a ledger's inputs: once a bit
+    erasure has a positive float price, every register of D > 1 states has
+    one too, so no energy is checked after it is computed."""
 
     k: float = BOLTZMANN_J_PER_K
     T: float = 300.0
@@ -34,16 +36,15 @@ class EnergyParams:
         for name, value in (("Boltzmann constant", self.k), ("temperature", self.T)):
             if not 0 < value < inf:  # NaN fails too
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.log_base is not None and not (0 < self.log_base < inf and self.log_base != 1):
-            raise ValueError(f"log base must be positive, finite and not 1, got {self.log_base}")
+        if self.log_base is not None and not 1 < self.log_base < inf:  # logs are negative below 1
+            raise ValueError(f"log base must be finite and above 1, got {self.log_base}")
+        bit = self.k * self.T * self.log(2)
+        if not 0 < bit < inf:
+            raise ValueError(f"k = {self.k} and T = {self.T} make a bit erasure's energy k*T*log 2"
+                             f" {'round to 0' if bit == 0 else 'overflow a float'}")
 
     def log(self, x: float) -> float:
         return log(x) if self.log_base is None else log(x, self.log_base)
-
-    def scale_lgamma(self, x: float) -> float:
-        """log of Gamma(x) in the configured base."""
-        v = lgamma(x)
-        return v if self.log_base is None else v / log(self.log_base)
 
 
 def _check_strategy(strategy: str):
@@ -59,16 +60,10 @@ class ErasureCost:
     cardinality: int
     energy: float
 
-    def __post_init__(self):
-        if self.energy < 0:
-            raise ValueError("erasure energy cannot be negative")
-        if (self.energy == 0) != (self.cardinality == 1):
-            raise ValueError("zero energy exactly for a one-state register")
-
 
 class EnergyOverflowError(ValueError, OverflowError):
     """An energy past the float range: a ValueError to callers, and an
-    OverflowError to voting_energy, which reports its own message."""
+    OverflowError to voting_energy, which raises one with its own message."""
 
 
 def erase_cost(params: EnergyParams, D: int, strategy: str = "with-memory") -> ErasureCost:
@@ -136,15 +131,16 @@ def voting_energy(
             if strategy == "with-memory":
                 e1 = kt * params.log(factorial(n))
                 # log((m!)!) via lgamma keeps the doubly factorial size finite
-                e2 = kt * params.scale_lgamma(mfact + 1)
+                lg = lgamma(mfact + 1)
+                e2 = kt * (lg if params.log_base is None else lg / log(params.log_base))
             else:
                 e1 = (n - 1) * kt * params.log(n)
-                e2 = (mfact - 1) * kt * params.log(mfact) if mfact > 1 else 0.0
+                e2 = (mfact - 1) * kt * params.log(mfact)
     except OverflowError:
         e1 = e2 = inf
     if not isfinite(e1 + e2):
-        raise ValueError(f"the {variant} {strategy} energies for {m} voters and {n}"
-                         " alternatives overflow a float")
+        raise EnergyOverflowError(f"the {variant} {strategy} energies for {m} voters"
+                                  f" and {n} alternatives overflow a float")
     return VotingEnergyReport(
         m=m, n=n, strategy=strategy, k=params.k, T=params.T,
         log_base=params.log_base, E1=e1, E2=e2, E=e1 + e2,

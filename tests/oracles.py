@@ -441,3 +441,21 @@ BELL_REPORT_SHA256 = {
 # no_cloning_scan(BallotSpace(3, 8), trials=300, seed=5), where d = 8 > 3!;
 # frozen from the scan that sampled dense [trials, d] rows.
 NO_CLONING_SCAN_D8_SHA256 = "42fe55e9c180cb7e5703aa54cebde29f74e93f0a52dc842db2e7762b234898a0"
+
+# sha256 of the stdout of `arrowq energy` with no guard override, frozen
+# while each report still computed both formula variants in full and the
+# erasure costs re-checked their own signs.  The last four are the
+# benchmark's energy cases at --T 300.0.
+ENERGY_REPORT_SHA256 = {
+    "default": "5fbc4294cdd7414600711d05e744c737c034df2663c4e68356087a0d166fc850",
+    "literal": "a84dc2af2ffcbc9163b06d3150b8d6b887cb385d1c4520289aa7bb16df27bb6b",
+    "without-memory": "40919eea8a3d91a7c7690bd6fa666228c39e643b3f2362fafcb6118cd4d49d69",
+    "without-memory-literal": "bcf6ac1729f5a1dca0074f5a154c5b8c2ff6869e54dc0d6bec669a2eb71f1c80",
+    "log-base-2": "60124a2f0280e8d56d5c96f6e34bc7f2e9df6fdb2a64e8641afa223429a43e3e",
+    "unit-constants": "e48cc67a179586d1cc9a7b529d8b0acb366819b7ec639323266a6eaeb3de6836",
+    "one-by-one": "533c85cda52599dded45452e010f66e3f8281293cef4fb4589680066ae54c533",
+    "with-memory-resolved@3x3": "5fbc4294cdd7414600711d05e744c737c034df2663c4e68356087a0d166fc850",
+    "without-memory-resolved@5x4": "3f5a68421e20a63210b27400a9fe19ef0a8ba85ef1a757377eac22bd2aeac344",
+    "with-memory-literal@4x3": "55fb5ef19ed653f9730420724d2f704f65377abd5a99426b970ca30bbc615da6",
+    "without-memory-literal@6x5": "68c3d0fc928d9653aa5766a519a521b312f78e7c7e231f734a211bface0f6c2e",
+}

@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
-from math import cos, factorial, inf, nan, pi, sin, sqrt
+from math import cos, factorial, inf, log, nan, pi, sin, sqrt
 from unittest import mock
 
 import numpy as np
@@ -19,6 +19,7 @@ from arrowq import bell, cli, social_choice
 from arrowq._guards import GUARD_ENV
 from arrowq.bell import chsh_value, default_scenario, scenario_from_json_dict
 from arrowq.hilbert import ks_instance_from_json_dict, ks_instance_from_rule, verify_ks_coloring
+from arrowq.landauer import BOLTZMANN_J_PER_K
 from arrowq.social_choice import (
     borda_rule,
     find_dictator,
@@ -279,7 +280,15 @@ def test_clone_test_rejects_a_total_rule_without_a_dictator(tmp_path, capsys):
     path = tmp_path / "borda.json"
     path.write_text(json.dumps(rule_to_json_dict(borda_rule(2, 3))))
     assert run_main(capsys, "clone-test", "--rule", str(path)) == (
-        2, "", "error: rule has no dictator; pick --voter for a dictatorial rule\n")
+        2, "", "error: rule has no dictator\n")
+
+
+def test_clone_test_voter_flag_is_gone():
+    # a total rule copies at most one voter, so the register is always derived;
+    # the old flag must not be read as an abbreviation of --voters
+    proc = run_cli("clone-test", "--voter", "1", check_stderr_timing=False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments: --voter 1" in proc.stderr
 
 
 def test_clone_test_takes_its_register_from_the_circuit(tmp_path, monkeypatch, capsys):
@@ -764,6 +773,60 @@ def test_energy_past_the_float_range_exits_two(monkeypatch, argv):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.endswith(" overflow a float\n")
     assert proc.stderr.count("\n") == 1
+
+
+_ENERGY_ARGV = {
+    "default": (),
+    "literal": ("--variant", "literal"),
+    "without-memory": ("--strategy", "without-memory"),
+    "without-memory-literal": ("--strategy", "without-memory", "--variant", "literal"),
+    "log-base-2": ("--log-base", "2"),
+    "unit-constants": ("--k", "1.0", "--T", "1.0"),
+    "one-by-one": ("--voters", "1", "--alternatives", "1"),
+    **{f"{s}-{v}@{m}x{n}": ("--voters", str(m), "--alternatives", str(n), "--strategy", s,
+                            "--variant", v, "--T", "300.0")
+       for m, n, s, v in [(3, 3, "with-memory", "resolved"), (5, 4, "without-memory", "resolved"),
+                          (4, 3, "with-memory", "literal"), (6, 5, "without-memory", "literal")]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(oracles.ENERGY_REPORT_SHA256))
+def test_energy_reports_match_their_frozen_digests(monkeypatch, capsys, case):
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    code, out, _ = run_main(capsys, "energy", *_ENERGY_ARGV[case])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == oracles.ENERGY_REPORT_SHA256[case]
+
+
+def test_energy_exit_code_is_the_requested_ledgers(monkeypatch):
+    # each finite ledger exited 2 when the other variant overflowed
+    monkeypatch.setenv(GUARD_ENV, "9")
+    procs = [run_cli("energy", "--voters", "171"),
+             run_cli("energy", "--voters", "3", "--alternatives", "171",
+                     "--strategy", "without-memory", "--variant", "literal")]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    resolved, literal = (report_of(proc)["results"] for proc in procs)
+    assert resolved["E1"] == BOLTZMANN_J_PER_K * 300.0 * log(171)
+    assert resolved["alternate"] is literal["alternate"] is None
+    proc = run_cli("energy", "--voters", "171", "--variant", "literal")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the literal with-memory energies for 171 voters and 3"
+                           " alternatives overflow a float\n")
+
+
+@pytest.mark.parametrize("variant", ["resolved", "literal"])
+@pytest.mark.parametrize("size", [("1", "1"), ("3", "3")])
+@pytest.mark.parametrize("flags, message", [
+    (("--log-base", "0.5"), "error: log base must be finite and above 1, got 0.5\n"),
+    (("--k", "1e-200", "--T", "1e-200"),
+     "error: k = 1e-200 and T = 1e-200 make a bit erasure's energy k*T*log 2 round to 0\n"),
+])
+def test_energy_refuses_a_ledger_with_no_positive_bit_price(variant, size, flags, message):
+    # a base below 1 gave -0.0 at (1, 1); an underflowing k*T gave 0.0 there
+    # and "zero energy exactly for a one-state register" at (3, 3)
+    proc = run_cli("energy", "--voters", size[0], "--alternatives", size[1],
+                   "--variant", variant, *flags)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
 
 
 # ---- ks-verify ----

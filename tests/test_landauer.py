@@ -1,10 +1,12 @@
 from math import factorial, inf, lgamma, log, nan
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from arrowq import SizeLimitError
 from arrowq.landauer import (
     BOLTZMANN_J_PER_K,
+    EnergyOverflowError,
     EnergyParams,
     divergence_scan,
     erase_cost,
@@ -159,6 +161,43 @@ def test_energy_params_must_be_finite(kwargs, message):
     # inf gave E = inf with a passing ledger, NaN nine NaN terms
     with pytest.raises(ValueError, match=message):
         EnergyParams(**{"k": 1.0, "T": 1.0, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"log_base": 0.5}, "^log base must be finite and above 1, got 0.5$"),
+        ({"k": 1e-200, "T": 1e-200}, "log 2 round to 0$"),
+        ({"k": 1e300, "T": 1e300}, "log 2 overflow a float$"),
+    ],
+)
+@pytest.mark.parametrize("variant", ["resolved", "literal"])
+def test_both_variants_refuse_a_ledger_with_no_positive_bit_price(kwargs, message, variant):
+    # the literal variant returned E = -5.0e-20 at base 0.5 and E = 0.0 at
+    # k = T = 1e-200, where the resolved one failed on its own erasure costs
+    with pytest.raises(ValueError, match=message):
+        voting_energy(EnergyParams(**kwargs), 3, 3, variant=variant)
+
+
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
+
+
+@given(k=_POSITIVE, T=_POSITIVE, log_base=st.none() | st.floats(min_value=1.0, max_value=1e308),
+       D=st.integers(min_value=1, max_value=10 ** 6))
+def test_an_accepted_ledger_prices_exactly_the_one_state_register_at_zero(k, T, log_base, D):
+    try:
+        params = EnergyParams(k=k, T=T, log_base=log_base)
+    except ValueError:
+        assume(False)
+    for strategy in ("with-memory", "without-memory"):
+        energy = erase_cost(params, D, strategy).energy
+        assert energy == 0 if D == 1 else 0 < energy
+    for variant in ("resolved", "literal"):
+        try:
+            report = voting_energy(params, 3, 3, variant=variant)
+        except EnergyOverflowError:  # a finite bit price can still overflow at (3, 3)
+            continue
+        assert report.E1 > 0 and report.E2 > 0
 
 
 def test_erase_cost_past_the_float_range_is_a_value_error(monkeypatch):
