@@ -69,20 +69,16 @@ def json_ints(value, what: str) -> tuple[int, ...]:
     return tuple(value)
 
 
-def json_int_lists(value: list, what: str) -> tuple:
-    """A JSON list whose entries are null or lists of integers, as a tuple
-    of None and int tuples.  One type scan covers every entry and leaf;
-    only when it fails are the entries walked, so the error is json_ints's
-    for the first bad entry."""
+def json_int_lists(value: list, what: str) -> None:
+    """Check that a JSON list's entries are null or lists of integers.  One
+    type scan covers every entry and leaf; only when it fails are the
+    entries walked, so the error is json_ints's for the first bad entry."""
     kinds = set(map(type, value))
     rows = filter(None, value) if NoneType in kinds else value
     if not (kinds <= _ROWS and {int}.issuperset(map(type, chain.from_iterable(rows)))):
         for row in value:
             if row is not None:
                 json_ints(row, what)
-    if NoneType not in kinds:
-        return tuple(map(tuple, value))  # no Python-level step per entry
-    return tuple(None if row is None else tuple(row) for row in value)
 
 
 def json_floats(value, what: str) -> np.ndarray:

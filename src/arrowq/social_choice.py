@@ -211,8 +211,7 @@ class VotingRule:
             if not bits or any(len(t) != 1 << m for t in self.tables):
                 raise ValueError("each table needs 2^m bits")
         else:
-            if len(self.outcomes) != factorial(n) ** m:
-                raise ValueError(f"expected {factorial(n) ** m} outcome entries")
+            _check_outcome_count(m, n, len(self.outcomes))
             # ranks every entry, raising on a non-ranking, unless
             # _rule_from_ranks has put the ranks in place
             self.outcome_ranks
@@ -253,17 +252,7 @@ class VotingRule:
             domain = profile_domain(m, n)
             ranks = domain.decode(self.table_bits.ravel()[domain.cell_keys >> 1])
         else:
-            rank = {order: r for r, order in enumerate(enumerate_orders(n))}
-            rank[None] = -1
-            try:  # one C-level lookup per entry; a list entry is unhashable
-                ranks = np.fromiter(map(rank.__getitem__, self.outcomes), dtype=int,
-                                    count=len(self.outcomes))
-            except (KeyError, TypeError):
-                try:
-                    ranks = np.array([rank[o if o is None else tuple(o)] for o in self.outcomes])
-                except KeyError as missing:  # str() of a KeyError is the key's repr
-                    raise ValueError(
-                        f"{missing} is not a ranking of alternatives 0..{n - 1}") from None
+            ranks = _ranks(self.outcomes, n)
         return _read_only(ranks)
 
     @cached_property
@@ -332,6 +321,38 @@ def _outcome_objects(n: int) -> np.ndarray:
     """The n! orders, then None (read by rank -1), as one object array."""
     orders = enumerate_orders(n)
     return _read_only(np.fromiter((*orders, None), dtype=object, count=len(orders) + 1))
+
+
+@lru_cache(maxsize=8)
+def _rank_table(n: int) -> dict:
+    """{order: rank} over _outcome_objects(n)'s orders, and None: -1; its
+    callers have passed check_rule_size, which the cache would skip."""
+    objects = _outcome_objects(n).tolist()
+    return dict(zip(objects, (*range(len(objects) - 1), -1)))
+
+
+def _ranks(outcomes: Sequence, n: int) -> np.ndarray:
+    """order_rank of every outcome, -1 for None, through _rank_table(n):
+    the package's one ranking path.  Tuples and None are looked up as they
+    are, one C-level step per entry; list entries, such as JSON rows,
+    through a transient tuple each, and per entry in Python only where
+    lists and None mix.  An entry that is no ranking raises."""
+    rank = _rank_table(n)
+    for keys in (outcomes, map(tuple, outcomes)):
+        try:  # a list entry is unhashable, and tuple(None) fails
+            return np.fromiter(map(rank.__getitem__, keys), dtype=int, count=len(outcomes))
+        except (KeyError, TypeError):
+            pass
+    try:
+        keys = (o if o is None else tuple(o) for o in outcomes)
+        return np.fromiter(map(rank.__getitem__, keys), dtype=int, count=len(outcomes))
+    except KeyError as missing:  # str() of a KeyError is the key's repr
+        raise ValueError(f"{missing} is not a ranking of alternatives 0..{n - 1}") from None
+
+
+def _check_outcome_count(m: int, n: int, count: int) -> None:
+    if count != factorial(n) ** m:
+        raise ValueError(f"expected {factorial(n) ** m} outcome entries")
 
 
 def projection_rule(m: int, n: int, voter: int) -> VotingRule:
@@ -864,5 +885,10 @@ def rule_from_json_dict(data: dict) -> VotingRule:
     if kind == "pairwise":
         return VotingRule(m, n, tables=tuple(json_ints(t, "a pair table") for t in entries))
     if kind == "table":
-        return VotingRule(m, n, outcomes=json_int_lists(entries, "an outcome"))
+        # VotingRule's checks, in its order, between the type scan and the
+        # ranking; the rule then shares the n! orders as a built rule does
+        json_int_lists(entries, "an outcome")
+        check_rule_size(m, n)
+        _check_outcome_count(m, n, len(entries))
+        return _rule_from_ranks(m, n, _ranks(entries, n))
     raise ValueError(f"unknown rule kind {kind!r}")

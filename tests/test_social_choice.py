@@ -1044,11 +1044,40 @@ def _read(reader, *args):
 @example(1, [("voters", 0, 0, 10 ** 400), ("leaf", 200, 0, "1")])
 @example(2, [("entry", 7, 0, None), ("voters", 0, 0, 2), ("entry", 9, 0, [0, 1, 3])])
 @example(2, [("entry", 214, 0, 5), ("leaf", 215, 1, 10 ** 400)])
+@example(0, [("entry", 5, 0, None), ("entry", 9, 0, [0, 1, 3])])
+@example(1, [("entry", 5, 0, None), ("leaf", 9, 1, True)])
 def test_table_reader_matches_the_per_entry_reader(voter, mutations):
     # entry types, then the size guard, then the entry count, then the ranking
     data = _mutated_table_doc(voter, mutations)
     want = _read(oracles.table_rule_per_entry, data["voters"], 3, data["entries"])
     assert _read(rule_from_json_dict, data) == want
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (2, 4)])
+def test_table_document_reads_into_the_shared_rankings(m, n):
+    # a read rule holds at most n! distinct ranking objects, whatever its
+    # holes, and equals the rule read one entry at a time
+    data = json.loads(json.dumps(rule_to_json_dict(borda_rule(m, n))))
+    data["entries"][::5] = [None] * len(data["entries"][::5])
+    rule = rule_from_json_dict(data)
+    assert len({id(o) for o in rule.outcomes if o is not None}) <= len(enumerate_orders(n))
+    want = oracles.table_rule_per_entry(m, n, data["entries"])
+    assert rule == want
+    assert rule.outcome_ranks.tolist() == want.outcome_ranks.tolist()
+
+
+def test_reading_a_34_table_stays_within_its_working_set():
+    # 13,824 entries: the rule holds int64 ranks and one reference per entry
+    # to the 24 shared rankings, 0.22 MB; a tuple per entry held 1.1 MB
+    data = json.loads(json.dumps(rule_to_json_dict(borda_rule(3, 4))))
+    rule_from_json_dict(data)  # the rankings and their ranks are cached outside the measurement
+    tracemalloc.start()
+    try:
+        rule_from_json_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e6
 
 
 @pytest.mark.parametrize(
