@@ -48,12 +48,15 @@ def check_power_guard(base: int, exponent: int, base_limit: int, what: str, fact
     """check_guard(factor * base ** exponent, base_limit, what) for a factor
     >= 1, without building a power past the limit: once the exponent
     exceeds the limit's bit length, the value >= 2 ** exponent > limit, and
-    the message names the power instead of printing it."""
+    the message names the power instead of printing it.  The override is
+    read once per call."""
     limit = base_limit * guard_multiplier()
     if base > 1 and exponent > limit.bit_length():
         power = f"{base}^{exponent}" if factor == 1 else f"{factor}*{base}^{exponent}"
         raise SizeLimitError(_exceeds(what, power, limit))
-    check_guard(factor * base ** exponent, base_limit, what)
+    value = factor * base ** exponent
+    if value > limit:
+        raise SizeLimitError(_exceeds(what, value, limit))
 
 
 def _exceeds(what: str, value, limit: int) -> str:

@@ -474,9 +474,12 @@ def check_ud_triples(rule: VotingRule) -> bool:
     inputs = profile_domain(m, n).pair_inputs[rule.outcome_ranks >= 0]
     k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
     for x, y, z in combinations(range(n), 3):
-        # the voters' rankings of x, y, z are fixed by their three pair vectors
-        realized = np.unique(inputs[:, [k[x, y], k[x, z], k[y, z]]], axis=0)
-        if len(realized) < factorial(3) ** m:
+        # the voters' rankings of x, y, z are fixed by their three pair
+        # vectors, packed into one code per profile; sorted, the distinct
+        # codes are those that differ from their predecessor
+        xy, xz, yz = inputs[:, [k[x, y], k[x, z], k[y, z]]].astype(np.intp).T
+        codes = np.sort(xy << 2 * m | xz << m | yz)
+        if len(codes) - np.count_nonzero(codes[1:] == codes[:-1]) < factorial(3) ** m:
             return False
     return len(inputs) > 0
 
@@ -625,10 +628,12 @@ def _propagate(truth: np.ndarray, nogoods: Sequence[np.ndarray]) -> bool:
     are true, and w - 1 exactly when one is unassigned and the rest true:
     the unit case, which sets that literal's variable to the other bit.
     One max over these sums tells a conflict or a sweep with nothing to
-    force before any forcing array is built.  Sweeps repeat until one sets
-    nothing.  False on a conflict: a nogood with every literal true, or a
-    sweep that would set one variable both ways, in which case that sweep
-    assigns nothing."""
+    force before any forcing array is built.  Forcing then takes the
+    literals and truth values of the unit columns alone, so its work grows
+    with the unit nogoods, not with C (a full-width mask was about a fifth
+    slower at (6, 5)).  Sweeps repeat until one sets nothing.  False on a
+    conflict: a nogood with every literal true, or a sweep that would set
+    one variable both ways, in which case that sweep assigns nothing."""
     while True:
         forced = []
         for lits in nogoods:
@@ -638,8 +643,8 @@ def _propagate(truth: np.ndarray, nogoods: Sequence[np.ndarray]) -> bool:
             if top == len(lits):
                 return False
             if top == len(lits) - 1:
-                unit = np.flatnonzero(score == top)
-                forced.append(lits[:, unit][state[:, unit] == 0])
+                unit = (score == top).nonzero()[0]
+                forced.append(lits.take(unit, axis=1)[state.take(unit, axis=1) == 0])
         if not forced:
             return True
         lit = np.concatenate(forced)
@@ -663,8 +668,9 @@ def _search(values: np.ndarray, nogoods: Sequence[np.ndarray]) -> tuple[np.ndarr
     unassigned variable, 0 before 1, and sets every variable the nogoods
     then force.  Each branch propagates on a copy of its parent's
     assignment: nothing is undone."""
-    sign = np.where(values < 0, 0, 2 * values - 1).astype(np.int8)
-    truth = np.stack([-sign, sign], axis=1).ravel()  # _propagate's literal table
+    truth = np.empty(2 * len(values), dtype=np.int8)  # _propagate's literal table
+    truth[1::2] = np.where(values < 0, 0, 2 * values - 1)
+    truth[0::2] = -truth[1::2]
     ok = _propagate(truth, nogoods)
     decisions, propagations, conflicts = 0, int(np.count_nonzero(truth)) // 2, int(not ok)
 
@@ -672,16 +678,17 @@ def _search(values: np.ndarray, nogoods: Sequence[np.ndarray]) -> tuple[np.ndarr
     stack = [truth] if ok else []  # assignments still to branch on, the next on top
     while stack:
         truth = stack.pop()
-        free = np.flatnonzero(truth[1::2] == 0)
+        free = (truth[1::2] == 0).nonzero()[0]
         if not free.size:
             leaves.append(truth[1::2] > 0)
             continue
         assigned = len(values) - len(free)
+        first = 2 * int(free[0])
         children = []
         for bit in (0, 1):
             decisions += 1
             child = truth.copy()
-            lit = 2 * free[0] + bit
+            lit = first + bit
             child[lit], child[lit ^ 1] = 1, -1
             ok = _propagate(child, nogoods)
             propagations += int(np.count_nonzero(child)) // 2 - assigned - 1
@@ -791,7 +798,7 @@ def verify_arrow(m: int, n: int) -> ArrowVerification:
         first[copies[voter]] = voter
     per_rule = tuple(np.array((*range(m), None), dtype=object)[first].tolist())  # -1 is None
     dictated = first >= 0
-    dictators = tuple(np.unique(first[dictated]).tolist())
+    dictators = tuple(sorted(set(first[dictated].tolist())))
     return ArrowVerification(m, n, len(rules), bool(dictated.all()), dictators, per_rule, rules)
 
 

@@ -251,6 +251,22 @@ def realizes_every_triple(outcomes, profiles, n):
     return bool(decided)
 
 
+def formula_completions(values, nogoods):
+    """Every completion of values (0, 1, or -1 for a free variable) that
+    meets none of the nogoods, each a list of (variable, bit) pairs that is
+    met when every variable holds its bit: itertools.product over the free
+    variables, the lowest most significant, so in lexicographic order."""
+    free = [i for i, v in enumerate(values) if v < 0]
+    out = []
+    for bits in product((0, 1), repeat=len(free)):
+        full = list(values)
+        for i, bit in zip(free, bits):
+            full[i] = bit
+        if not any(all(full[v] == bit for v, bit in nogood) for nogood in nogoods):
+            out.append(tuple(full))
+    return out
+
+
 def table_rule_per_entry(m, n, entries):
     """A table rule read one entry at a time: json_ints on every non-null
     entry, then the VotingRule constructor, which checks the size guard,

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -8,6 +9,7 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from enum import IntEnum
 from math import cos, factorial, inf, log, nan, pi, sin, sqrt
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -79,6 +81,50 @@ def test_repeat_runs_are_byte_identical(argv):
     b = run_cli(*argv)
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+# every step the script below takes, in one fresh interpreter: each
+# subcommand's default run, verify-arrow at (3,3) and (4,2), and the triple
+# check of a table rule; it prints whether numpy alone loads numpy.ma, then
+# the steps after which it is loaded
+FRESH_STEPS = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+import numpy
+print(json.dumps("numpy.ma" in sys.modules))
+from arrowq import cli
+from arrowq.social_choice import borda_rule, check_ud_triples
+loaded = ["import"] if "numpy.ma" in sys.modules else []
+for argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    if "numpy.ma" in sys.modules and not loaded:
+        loaded.append(" ".join(argv))
+assert check_ud_triples(borda_rule(2, 3).as_table())
+if "numpy.ma" in sys.modules and not loaded:
+    loaded.append("check_ud_triples")
+print(json.dumps(loaded))
+"""
+
+
+def test_no_step_imports_numpy_masked_arrays(tmp_path):
+    # numpy's unique loads numpy.ma, which took 11-16 ms of every
+    # verify-arrow process for one sort of at most m dictators
+    instance = tmp_path / "ks.json"
+    instance.write_text(json.dumps(TWO_DIM_INSTANCE))
+    argvs = [["verify-arrow"], ["clone-test"], ["bell"], ["energy"],
+             ["ks-verify", "--instance", str(instance)],
+             ["verify-arrow", "--voters", "3", "--alternatives", "3"],
+             ["verify-arrow", "--voters", "4", "--alternatives", "2"]]
+    path = [str(Path(cli.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])]
+    proc = subprocess.run([sys.executable, "-c", FRESH_STEPS, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(path)})
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, loaded = map(json.loads, proc.stdout.splitlines())
+    if with_numpy:
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    assert loaded == []
 
 
 # ---- verify-arrow ----

@@ -908,6 +908,55 @@ def test_propagate_variable_forced_both_ways(width):
     assert assigned(truth, 3) == [1, -1, -1]
 
 
+def random_formula(seed):
+    """A seeded formula for _search: 4-8 variables, up to two of them
+    assigned, and one or two [w, C] literal arrays of distinct widths 1-4,
+    each nogood on w distinct variables with random bits.  The clause count
+    grows with 2^w, so every width meets conflicts."""
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(4, 9))
+    values = np.full(count, -1, dtype=np.int8)
+    fixed = rng.choice(count, size=int(rng.integers(0, 3)), replace=False)
+    values[fixed] = rng.integers(0, 2, size=len(fixed))
+    nogoods = []
+    for width in sorted(rng.choice(4, size=int(rng.integers(1, 3)), replace=False) + 1):
+        clauses = int(rng.integers(1, (count << width) // 4 + 1))
+        var = np.array([rng.choice(count, size=width, replace=False) for _ in range(clauses)])
+        nogoods.append((2 * var + rng.integers(0, 2, size=var.shape)).T.astype(np.intp))
+    return values, nogoods
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_search_leaves_match_the_brute_force_completions(seed):
+    # of these formulas 33 conflict at the root and 45 inside the tree
+    values, nogoods = random_formula(seed)
+    leaves = social_choice._search(values, nogoods)[0]
+    pairs = [[divmod(lit, 2) for lit in lits] for array in nogoods for lits in array.T.tolist()]
+    want = oracles.formula_completions(values.tolist(), pairs)
+    assert list(map(tuple, leaves.tolist())) == want
+
+
+# frozen: (decisions, propagations, conflicts) of _search on random_formula,
+# computed before the sweep read only the unit columns.  Seeds 2, 5, 9, 12
+# and 14 meet no conflict; 13, 27 and 114 find a nogood with every literal
+# true at the root, and 75, 101 and 107 a variable forced both ways there;
+# the rest conflict inside the tree, 8, 21, 54, 93 and 166 only by forcing
+# both ways, 55 only by a true nogood, and 7, 32 and 33 in both ways
+FORMULA_COUNTERS = {
+    2: (178, 25, 0), 5: (46, 3, 0), 9: (10, 6, 0), 12: (58, 8, 0), 14: (0, 4, 0),
+    13: (0, 2, 1), 27: (0, 2, 1), 114: (0, 4, 1),
+    75: (0, 0, 1), 101: (0, 2, 1), 107: (0, 3, 1),
+    7: (40, 32, 3), 8: (186, 20, 4), 21: (10, 2, 2), 32: (56, 39, 7), 33: (10, 19, 5),
+    54: (26, 5, 3), 55: (26, 20, 2), 93: (44, 16, 6), 166: (16, 7, 1),
+}
+
+
+@pytest.mark.parametrize("seed", FORMULA_COUNTERS)
+def test_search_counters_on_random_formulas(seed):
+    values, nogoods = random_formula(seed)
+    assert social_choice._search(values, nogoods)[1:] == FORMULA_COUNTERS[seed]
+
+
 # ---- reversible circuit table ----
 
 def test_circuit_table_is_bijective_and_fixes_voters():
