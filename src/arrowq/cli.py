@@ -54,7 +54,7 @@ def _encode(value, indent: str = "") -> str:
     return "".join(_pieces(value, indent))
 
 
-def _pieces(value, indent: str = "", texts=None):
+def _pieces(value, indent: str = ""):
     """The text of _encode(value, indent) as pieces in document order, so a
     report is joined once, by its writer, rather than once per nesting
     level.  Takes dicts with str keys, lists, tuples, JSON scalars, and
@@ -65,14 +65,7 @@ def _pieces(value, indent: str = "", texts=None):
     key, and a scalar of an exact JSON type, is written by its type with
     json's own spelling; any other scalar goes through json.dumps.  Every
     list whose entries all have such types is one call of the C encoder,
-    with ",\n" and the indent as its item separator.
-
-    texts maps (id(list), indent) to that text for one top-level call, so a
-    list object that a value holds twice, such as clone-test's angles in
-    config and results, is encoded once.  The value keeps every list it
-    holds alive for the call, so no id is reused within it; the map goes
-    with the call, since ids may be reused after it."""
-    texts = {} if texts is None else texts
+    with ",\n" and the indent as its item separator."""
     inner = indent + "  "
     write = _SCALAR_TEXT.get(type(value))
     if write is not None:
@@ -87,20 +80,17 @@ def _pieces(value, indent: str = "", texts=None):
         separator = f"{{\n{inner}"
         for k in sorted(value):
             yield f"{separator}{encode_basestring_ascii(k)}: "
-            yield from _pieces(value[k], inner, texts)
+            yield from _pieces(value[k], inner)
             separator = f",\n{inner}"
         yield f"\n{indent}}}"
-    elif (id(value), indent) in texts:
-        yield texts[id(value), indent]
     elif _JSON_SCALARS.issuperset(map(type, value)):
         items = json.JSONEncoder(separators=(f",\n{inner}", ": ")).encode(value)
-        texts[id(value), indent] = text = f"[\n{inner}{items[1:-1]}\n{indent}]"
-        yield text
+        yield f"[\n{inner}{items[1:-1]}\n{indent}]"
     else:
         separator = f"[\n{inner}"
         for x in value:
             yield separator
-            yield from _pieces(x, inner, texts)
+            yield from _pieces(x, inner)
             separator = f",\n{inner}"
         yield f"\n{indent}]"
 
@@ -113,9 +103,8 @@ def _digit_pieces(array: np.ndarray, indent: str):
     A single digit prints as one byte, so every row's text has the layout
     of an all-zero row and differs from it only in the zeros' bytes.  That
     row, encoded once behind its separator, is tiled into a byte buffer,
-    and the digits are written over its zeros: the zeros of one innermost
-    list lie a fixed step apart, so each innermost list is one strided
-    slice of every row.  The opening "[\\n" + indent has the separator's
+    and each row's digits, in order, are scattered over its zeros' bytes
+    in one assignment.  The opening "[\\n" + indent has the separator's
     layout, so the first separator's comma becomes the bracket.
 
     The rows go out at most _PIECE_BYTES of text at a time, each piece
@@ -132,18 +121,14 @@ def _digit_pieces(array: np.ndarray, indent: str):
     inner = indent + "  "
     row = f",\n{inner}" + _encode(np.zeros(array.shape[1:], dtype=int).tolist(), inner)
     template = np.frombuffer(row.encode(), dtype=np.uint8)
-    width = array.shape[-1] if array.ndim > 1 else 1
-    step = len(f",\n{indent}") + 2 * array.ndim + 1  # a digit, a comma and a line
-    starts = np.flatnonzero(template == ord("0"))[::max(width, 1)].tolist()  # one per list
+    slots = np.flatnonzero(template == ord("0"))  # a row's digits, in order
     count = max(1, _PIECE_BYTES // len(template))  # rows per piece
     buffer = np.empty((min(count, len(array)), len(template)), dtype=np.uint8)
     for first in range(0, len(array), count):
         block = array[first:first + count]
         rows = buffer[:len(block)]
         rows[:] = template
-        digits = (block + ord("0")).reshape(len(block), len(starts), width)
-        for j, start in enumerate(starts):
-            rows[:, start:start + step * (width - 1) + 1:step] = digits[:, j]
+        rows[:, slots] = block.reshape(len(block), -1) + ord("0")
         if not first:
             rows[0, 0] = ord("[")
         yield str(rows, "ascii")
@@ -213,7 +198,7 @@ def _run_clone_test(args):
         "voters": m,
         "alternatives": n,
         "voter": voter,
-        "theta": thetas,  # the results' list too, so the writer writes it once
+        "theta": thetas,  # the per-angle results below follow this order
         "rule_file": args.rule,
         "tolerance": args.tolerance,
     }
@@ -231,7 +216,6 @@ def _run_clone_test(args):
     basis_ok = all(abs(f - 1.0) <= args.tolerance for f in basis_fid)
 
     results = {
-        "theta": thetas,
         "fidelity": fidelities,
         "predicted": predicted,
         "max_formula_error": formula_error,
@@ -339,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", default="-", help="report path, - for stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
+        p.add_argument("--seed", type=int, default=0, help="echoed as config.seed; no step is randomized")
         p.add_argument("--timing", action="store_true", help="embed wall time in the report")
 
     p = sub.add_parser("verify-arrow", help="enumerate fair rules and test for dictators")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import combinations
 from math import comb, factorial, isclose
 from typing import Optional, Sequence
 
@@ -371,16 +370,30 @@ def verify_ks_coloring(instance: KSInstance):
 
 
 def discover_orthonormal_bases(vectors: np.ndarray, tol: float = NORM_TOL) -> list[tuple[int, ...]]:
-    """All size-d index subsets of the rows that form orthonormal bases."""
+    """All size-d index subsets of the rows that form orthonormal bases, in
+    itertools.combinations order.
+
+    A subset passes exactly when its rows are unit vectors and orthogonal in
+    pairs, within tol, so the bases are the d-cliques of the graph that joins
+    orthogonal unit rows.  The cliques grow one row at a time through later
+    common neighbours in ascending order, which keeps combinations order; a
+    clique with fewer common neighbours than rows it lacks is dropped."""
     vecs = np.asarray(vectors, dtype=complex)
     k, d = vecs.shape
     if k >= d:
         check_guard(comb(k, d), 1 << 20, "basis search combination count")
-    found = []
-    for subset in combinations(range(k), d):
-        if _orthonormal(vecs[list(subset)], tol):
-            found.append(subset)
-    return found
+    unit = np.abs(np.einsum("ij,ij->i", vecs.conj(), vecs) - 1) <= tol  # a NaN fails
+    if d > 1:  # d = 1 checks no pair, and admits up to 2^20 rows: no k-by-k table
+        later = np.triu((np.abs(vecs @ vecs.conj().T) <= tol) & unit, 1)
+    cliques, common = np.empty((1, 0), dtype=np.intp), unit[None]
+    for size in range(d):
+        live = common.sum(axis=1) >= d - size
+        cliques, common = cliques[live], common[live]
+        rows, last = common.nonzero()
+        cliques = np.column_stack((cliques[rows], last))
+        if size + 1 < d:
+            common = common[rows] & later[last]
+    return list(map(tuple, cliques.tolist()))
 
 
 def ks_instance_from_rule(rule: VotingRule, profile) -> KSInstance:

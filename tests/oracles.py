@@ -410,14 +410,15 @@ def theta_grid(seed, count=256):
 
 # sha256 of the stdout of `arrowq clone-test` with the default seed and no
 # guard override, run in a directory whose rule.json holds
-# projection_rule(3, 3, 1) as a table; frozen from reports whose angle grid
-# was a dense [K, d] array.  "grid" and "table" cases pass theta_grid(27).
+# projection_rule(3, 3, 1) as a table; frozen once the angles were written
+# under config alone.  Each is the earlier report less results.theta, which
+# copied config.theta.  "grid" and "table" cases pass theta_grid(27).
 CLONE_TEST_REPORT_SHA256 = {
-    "default@2x3": "85f75c14647c9578904952c8ef27a96a68f20c5b2c42fde6ddef3d033452d6f5",
-    "grid@3x3": "118dbf3641684a873951bc36ce3fbffc3069790dd0405bc60b5cdc55308523de",
-    "grid@4x5": "b34f3d47207c235ac16ff85ce1fb010eda6cc68d9442761a8906366f36b73a04",
-    "grid@4x8": "833fc08946dc14d81369657fc313535f075e1cb6db619d2c5fdf6798a62e713e",
-    "table@3x3": "35a9c2d0cb832cee2da67dff0b291ddd681fe0516c048c24928566a2eedd4a9f",
+    "default@2x3": "81189c583c6b87750f6b17b584c59d82ae82ae7ef309555b7a38a7fae378209e",
+    "grid@3x3": "f4f6de5225455b2efe3395441ccc5afcaa75254d3bbe7a619ec66d0431d9b076",
+    "grid@4x5": "8403cf590c6529e72997ee4cf430b5bbe743836acee4a76e46e6eed2d0d32de2",
+    "grid@4x8": "81e215c2c0eb3496feb8adf92c5c26af65e254fe8d3f4105d1711659894da5dc",
+    "table@3x3": "e02b8504605d5461d3cf3ee5fec5a997ea6e9242d25d32fc39cde2fa44caceea",
 }
 
 
@@ -475,3 +476,17 @@ ENERGY_REPORT_SHA256 = {
     "with-memory-literal@4x3": "55fb5ef19ed653f9730420724d2f704f65377abd5a99426b970ca30bbc615da6",
     "without-memory-literal@6x5": "68c3d0fc928d9653aa5766a519a521b312f78e7c7e231f734a211bface0f6c2e",
 }
+
+
+def orthonormal_bases(vectors, tol):
+    """discover_orthonormal_bases by its definition: every size-d subset of
+    the rows, in combinations order, whose Gram matrix is the identity
+    within tol entry by entry (a NaN entry fails)."""
+    vecs = np.asarray(vectors, dtype=complex)
+    k, d = vecs.shape
+    found = []
+    for subset in combinations(range(k), d):
+        rows = vecs[list(subset)]
+        if (np.abs(rows @ rows.conj().T - np.eye(d)) <= tol).all():
+            found.append(subset)
+    return found

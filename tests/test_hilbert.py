@@ -1,6 +1,7 @@
 import hashlib
 import json
 from functools import reduce
+from itertools import product
 from math import cos, factorial, pi, sin
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 from arrowq import SizeLimitError, social_choice
 from arrowq.hilbert import (
     BallotSpace,
+    NORM_TOL,
     KSInstance,
     PureState,
     UnitaryCircuit,
@@ -555,6 +557,52 @@ def test_discover_orthonormal_bases():
         [np.eye(2), [[2 ** -0.5, 2 ** -0.5], [2 ** -0.5, -(2 ** -0.5)]]]
     ).astype(complex)
     assert discover_orthonormal_bases(vecs) == [(0, 1), (2, 3)]
+
+
+def peres_rays():
+    """Peres' 24 rays in d = 4: the nonzero {0, +1, -1} vectors with one,
+    two or four nonzero entries, the first of them +1, normalized."""
+    rays = np.array([v for v in product((0, 1, -1), repeat=4)
+                     if any(v) and v[np.flatnonzero(v)[0]] == 1 and np.count_nonzero(v) != 3])
+    return rays / np.linalg.norm(rays, axis=1)[:, None]
+
+
+def random_rays(seed, k, d=4):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(k, d)) + 1j * rng.normal(size=(k, d))
+    return z / np.linalg.norm(z, axis=1)[:, None]
+
+
+def _mixed_rays():
+    vecs = np.vstack([peres_rays(), random_rays(3, 6), [[np.nan, 0, 0, 0]], np.eye(4)[:2]])
+    return vecs[np.random.default_rng(4).permutation(len(vecs))]
+
+
+@pytest.mark.parametrize("vecs, tol", [
+    (peres_rays(), NORM_TOL),
+    (_mixed_rays(), NORM_TOL),  # shuffled, with copies, strangers and a NaN row
+    (random_rays(5, 24), NORM_TOL),
+    (np.tile(np.eye(4), (5, 1)), NORM_TOL),  # interleaved copies: 625 bases
+    (random_rays(6, 12, 2), 0.5),  # a loose tol joins near-orthogonal rays
+    (random_rays(8, 14, 3), 0.6),
+    (np.array([[1], [1j], [0.5], [np.nan], [-1]]), NORM_TOL),
+    (np.empty((3, 0)), NORM_TOL),
+    (np.eye(3)[:2], NORM_TOL),  # fewer rows than the dimension
+])
+def test_basis_search_matches_its_oracle(vecs, tol):
+    assert discover_orthonormal_bases(vecs, tol) == oracles.orthonormal_bases(vecs, tol)
+
+
+def test_basis_search_at_seventy_two_rays():
+    # C(72, 4) = 1,028,790 subsets, 10-15 s for the subset oracle, which
+    # gives these same lists
+    assert discover_orthonormal_bases(random_rays(7, 72)) == []
+    copies = np.repeat(np.eye(4), 18, axis=0)  # rows 18j..18j+17 copy e_j
+    assert discover_orthonormal_bases(copies) == list(product(*np.arange(72).reshape(4, 18).tolist()))
+
+
+def test_peres_rays_form_24_bases():
+    assert len(discover_orthonormal_bases(peres_rays())) == 24
 
 
 # ---- pairwise decomposition: one row of ballot bits per ballot ----
