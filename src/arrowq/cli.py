@@ -102,15 +102,17 @@ def _digit_pieces(array: np.ndarray, indent: str):
 
     A single digit prints as one byte, so every row's text has the layout
     of an all-zero row and differs from it only in the zeros' bytes.  That
-    row, encoded once behind its separator, is tiled into a byte buffer,
-    and each row's digits, in order, are scattered over its zeros' bytes
-    in one assignment.  The opening "[\\n" + indent has the separator's
-    layout, so the first separator's comma becomes the bracket.
+    row, encoded once behind its separator, is tiled into a byte buffer
+    once, and each row's digits, in order, are scattered over its zeros'
+    bytes in one assignment.  The opening "[\\n" + indent has the
+    separator's layout, so the first piece's first comma becomes the
+    bracket, and later pieces put the comma back.
 
     The rows go out at most _PIECE_BYTES of text at a time, each piece
-    decoded from one buffer that every piece reuses.  A buffer of the whole
-    text (4.0 MB of rule rows at 4 voters and 2 alternatives) was a fresh
-    allocation on every call, and each of its pages a fresh page fault."""
+    decoded from the one buffer that every piece reuses.  A buffer of the
+    whole text (4.0 MB of rule rows at 4 voters and 2 alternatives) was a
+    fresh allocation on every call, and each of its pages a fresh page
+    fault."""
     if array.dtype.kind not in "iu" or array.ndim < 1 or (
             array.size and not 0 <= array.min() <= array.max() <= 9):
         raise ValueError(f"cannot write a {array.dtype} array of shape {array.shape}:"
@@ -123,14 +125,12 @@ def _digit_pieces(array: np.ndarray, indent: str):
     template = np.frombuffer(row.encode(), dtype=np.uint8)
     slots = np.flatnonzero(template == ord("0"))  # a row's digits, in order
     count = max(1, _PIECE_BYTES // len(template))  # rows per piece
-    buffer = np.empty((min(count, len(array)), len(template)), dtype=np.uint8)
+    buffer = np.tile(template, (min(count, len(array)), 1))
     for first in range(0, len(array), count):
         block = array[first:first + count]
         rows = buffer[:len(block)]
-        rows[:] = template
         rows[:, slots] = block.reshape(len(block), -1) + ord("0")
-        if not first:
-            rows[0, 0] = ord("[")
+        rows[0, 0] = ord("," if first else "[")
         yield str(rows, "ascii")
     yield f"\n{indent}]"
 
