@@ -384,7 +384,7 @@ def discover_orthonormal_bases(vectors: np.ndarray, tol: float = NORM_TOL) -> li
         check_guard(comb(k, d), 1 << 20, "basis search combination count")
     unit = np.abs(np.einsum("ij,ij->i", vecs.conj(), vecs) - 1) <= tol  # a NaN fails
     if d > 1:  # d = 1 checks no pair, and admits up to 2^20 rows: no k-by-k table
-        later = np.triu((np.abs(vecs @ vecs.conj().T) <= tol) & unit, 1)
+        later = np.triu(np.abs(vecs @ vecs.conj().T) <= tol, 1)
     cliques, common = np.empty((1, 0), dtype=np.intp), unit[None]
     for size in range(d):
         live = common.sum(axis=1) >= d - size

@@ -574,17 +574,21 @@ def random_rays(seed, k, d=4):
 
 
 def _mixed_rays():
-    vecs = np.vstack([peres_rays(), random_rays(3, 6), [[np.nan, 0, 0, 0]], np.eye(4)[:2]])
+    vecs = np.vstack([peres_rays(), random_rays(3, 6), [[np.nan, 0, 0, 0]], np.eye(4)[:2],
+                      np.eye(4)[2:] / 2])
     return vecs[np.random.default_rng(4).permutation(len(vecs))]
 
 
 @pytest.mark.parametrize("vecs, tol", [
     (peres_rays(), NORM_TOL),
-    (_mixed_rays(), NORM_TOL),  # shuffled, with copies, strangers and a NaN row
+    (_mixed_rays(), NORM_TOL),  # shuffled: copies, strangers, short rows, a NaN row
     (random_rays(5, 24), NORM_TOL),
     (np.tile(np.eye(4), (5, 1)), NORM_TOL),  # interleaved copies: 625 bases
     (random_rays(6, 12, 2), 0.5),  # a loose tol joins near-orthogonal rays
     (random_rays(8, 14, 3), 0.6),
+    # 937,872 partial cliques, 1.2 s, unless those without enough common
+    # neighbours to finish are dropped; at d = 24 the same shape takes 20 s
+    (np.vstack([np.eye(20), np.eye(20)[:4]]), NORM_TOL),
     (np.array([[1], [1j], [0.5], [np.nan], [-1]]), NORM_TOL),
     (np.empty((3, 0)), NORM_TOL),
     (np.eye(3)[:2], NORM_TOL),  # fewer rows than the dimension
@@ -593,16 +597,13 @@ def test_basis_search_matches_its_oracle(vecs, tol):
     assert discover_orthonormal_bases(vecs, tol) == oracles.orthonormal_bases(vecs, tol)
 
 
-def test_basis_search_at_seventy_two_rays():
+def test_basis_search_on_known_sets():
+    assert len(discover_orthonormal_bases(peres_rays())) == 24
     # C(72, 4) = 1,028,790 subsets, 10-15 s for the subset oracle, which
     # gives these same lists
     assert discover_orthonormal_bases(random_rays(7, 72)) == []
     copies = np.repeat(np.eye(4), 18, axis=0)  # rows 18j..18j+17 copy e_j
     assert discover_orthonormal_bases(copies) == list(product(*np.arange(72).reshape(4, 18).tolist()))
-
-
-def test_peres_rays_form_24_bases():
-    assert len(discover_orthonormal_bases(peres_rays())) == 24
 
 
 # ---- pairwise decomposition: one row of ballot bits per ballot ----
