@@ -53,7 +53,6 @@ from .hilbert import (
     ks_instance_from_rule,
     lift_rule_to_unitary,
     no_cloning_scan,
-    superpose,
     verify_ks_coloring,
 )
 from .bell import (

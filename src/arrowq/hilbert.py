@@ -9,9 +9,9 @@ index = ancilla * d^m + sum(p_i * d^(m-1-i)).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial, isclose
+from math import factorial, isclose
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,9 @@ from .social_choice import VotingRule, _per_voter, check_pairwise_size, projecti
 NORM_TOL = 1e-10
 # no_cloning_scan: a sample whose largest amplitude reaches 1 - BASIS_TOL is basis-like
 BASIS_TOL = 1e-6
+# discover_orthonormal_bases: entries of its k-by-k orthogonality table and of
+# each level's [cliques, k] common-neighbour table
+BASIS_TABLE_LIMIT = 1 << 21
 
 
 # ---- spaces and states ----
@@ -81,22 +84,6 @@ def ballot_state(space: BallotSpace, order: LinearOrder) -> PureState:
     """Basis ray holding one classical ballot."""
     order = validate_order(order, space.n)
     return basis_state(space.d, order_rank(order))
-
-
-def superpose(states: Sequence[PureState], amplitudes: Sequence[complex]) -> PureState:
-    """Normalized linear combination; rejects combinations that cancel."""
-    if len(states) != len(amplitudes) or not states:
-        raise ValueError("need equally many states and amplitudes")
-    dim, registers = states[0].dim, states[0].registers
-    acc = np.zeros_like(states[0].amplitudes)
-    for st, c in zip(states, amplitudes):
-        if st.dim != dim or st.registers != registers:
-            raise ValueError("all states must live on the same registers")
-        acc = acc + complex(c) * st.amplitudes
-    norm = float(np.linalg.norm(acc))
-    if norm < 1e-12:
-        raise ValueError("combination is the zero vector")
-    return PureState(acc / norm, dim, registers)
 
 
 # ---- lifted circuits ----
@@ -238,9 +225,6 @@ class NoCloningReport:
     nonbasis_strictly_below: bool
     threshold: float
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def no_cloning_scan(
     space: BallotSpace,
@@ -313,12 +297,14 @@ class KSInstance:
         if any(c not in (0, 1) for c in self.coloring):
             raise ValueError("coloring bits must be 0 or 1")
         object.__setattr__(self, "coloring", tuple(int(c) for c in self.coloring))
+        if not self.bases:  # a coloring of no basis checks nothing
+            raise ValueError("an instance must declare at least one basis")
+        if self.dimension < 1:  # an empty basis would pass as spanning dimension 0
+            raise ValueError(f"dimension must be at least 1, got {self.dimension}")
         if vecs.ndim != 2 or vecs.shape[1] != self.dimension:
             raise ValueError("vectors must be rows of length `dimension`")
         if len(self.coloring) != vecs.shape[0]:
             raise ValueError("coloring must assign a bit to every vector")
-        if not self.bases:  # a coloring of no basis checks nothing
-            raise ValueError("an instance must declare at least one basis")
         if any(not 0 <= i < vecs.shape[0] for basis in self.bases for i in basis):
             raise ValueError(f"basis indices must lie in 0..{vecs.shape[0] - 1}")
         if not (np.abs(np.linalg.norm(vecs, axis=1) - 1.0) <= NORM_TOL).all():  # NaN fails too
@@ -341,7 +327,7 @@ def ks_instance_from_json_dict(data: dict) -> KSInstance:
         if any(type(row) is not list or len(row) != d for row in rows):
             raise ValueError(f"vectors must be lists of {d} amplitudes")
         vectors = json_amplitudes([z for row in rows for z in row], "a vector entry")
-        vectors = vectors.reshape(len(rows), d)
+        vectors = vectors.reshape(len(rows), max(d, 0))  # KSInstance refuses d < 1
         bases = tuple(json_ints(b, "a basis") for b in data["bases"])
         coloring = json_ints(data["coloring"], "the coloring")
     except (KeyError, TypeError, ValueError) as exc:
@@ -380,14 +366,17 @@ def discover_orthonormal_bases(vectors: np.ndarray, tol: float = NORM_TOL) -> li
     clique with fewer common neighbours than rows it lacks is dropped."""
     vecs = np.asarray(vectors, dtype=complex)
     k, d = vecs.shape
-    if k >= d:
-        check_guard(comb(k, d), 1 << 20, "basis search combination count")
     unit = np.abs(np.einsum("ij,ij->i", vecs.conj(), vecs) - 1) <= tol  # a NaN fails
-    if d > 1:  # d = 1 checks no pair, and admits up to 2^20 rows: no k-by-k table
+    if d > 1:  # d = 1 checks no pair: no k-by-k table
+        check_guard(k * k, BASIS_TABLE_LIMIT, "basis search orthogonality table k^2")
         later = np.triu(np.abs(vecs @ vecs.conj().T) <= tol, 1)
     cliques, common = np.empty((1, 0), dtype=np.intp), unit[None]
     for size in range(d):
-        live = common.sum(axis=1) >= d - size
+        counts = common.sum(axis=1)
+        live = counts >= d - size
+        if size + 1 < d:  # the next level's table has a row per clique grown here
+            check_guard(int(counts[live].sum()) * k, BASIS_TABLE_LIMIT,
+                        "basis search common-neighbour table cliques*k")
         cliques, common = cliques[live], common[live]
         rows, last = common.nonzero()
         cliques = np.column_stack((cliques[rows], last))

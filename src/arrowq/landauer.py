@@ -157,9 +157,6 @@ class DivergenceScan:
     strictly_increasing: bool
     annotation: str
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def divergence_scan(
     params: EnergyParams, m_max: int, strategy: str = "with-memory"

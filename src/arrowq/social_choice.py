@@ -520,28 +520,6 @@ class ArrowReport:
     dictator: Optional[int]
     per_voter: tuple[bool, ...]
 
-    def to_json_dict(self) -> dict:
-        def ballots(profile):
-            return [list(b) for b in profile]
-
-        pw = None
-        if self.pareto_witness is not None:
-            p, a, b = self.pareto_witness
-            pw = {"profile": ballots(p), "preferred": a, "over": b}
-        iw = None
-        if self.iia_witness is not None:
-            p, q, a, b = self.iia_witness
-            iw = {"profile_p": ballots(p), "profile_q": ballots(q), "pair": [a, b]}
-        return {
-            "pareto": self.pareto,
-            "pareto_witness": pw,
-            "iia": self.iia,
-            "iia_witness": iw,
-            "ud": self.ud,
-            "dictator": self.dictator,
-            "per_voter": list(self.per_voter),
-        }
-
 
 def arrow_report(rule: VotingRule) -> ArrowReport:
     """Evaluate all fairness conditions on one rule."""

@@ -980,6 +980,17 @@ def test_ks_verify_refuses_an_instance_without_a_basis(tmp_path, capsys, instanc
     )
 
 
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_ks_verify_refuses_a_dimension_below_one(tmp_path, capsys, dimension):
+    # dimension 0 with an empty basis exited 1 as a failed check, and -1
+    # exited 2 with numpy's reshape message
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"dimension": dimension, "vectors": [], "bases": [[]], "coloring": []}))
+    assert run_main(capsys, "ks-verify", "--instance", str(path)) == (
+        2, "", f"error: dimension must be at least 1, got {dimension}\n"
+    )
+
+
 def test_ks_verify_missing_instance_flag():
     proc = run_cli("ks-verify", check_stderr_timing=False)
     assert proc.returncode == 2

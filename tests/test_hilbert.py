@@ -1,5 +1,8 @@
 import hashlib
 import json
+import time
+import tracemalloc
+from dataclasses import asdict
 from functools import reduce
 from itertools import product
 from math import cos, factorial, pi, sin
@@ -25,7 +28,6 @@ from arrowq.hilbert import (
     ks_instance_from_rule,
     lift_rule_to_unitary,
     no_cloning_scan,
-    superpose,
     verify_ks_coloring,
 )
 from arrowq.orders import enumerate_orders, order_rank
@@ -76,16 +78,6 @@ def test_pure_state_rejects_unnormalized():
         PureState(np.array([1.0, 1.0]), 2)
     with pytest.raises(ValueError):
         PureState(np.array([1.0, 0.0, 0.0]), 2)
-
-
-def test_superpose_examples():
-    e0, e1 = basis_state(6, 0), basis_state(6, 1)
-    plus = superpose([e0, e1], [1, 1])
-    assert np.allclose(plus.amplitudes[:2], [2 ** -0.5, 2 ** -0.5])
-    same = superpose([e0], [7])
-    assert abs(abs(np.vdot(same.amplitudes, e0.amplitudes)) - 1) < 1e-12
-    with pytest.raises(ValueError):
-        superpose([e0, e0], [1, -1])
 
 
 def test_equal_up_to_phase():
@@ -225,7 +217,7 @@ def test_cloning_basis_ballots_is_exact():
 
 def test_cloning_fidelity_on_equal_superposition_is_half():
     circ = lift_rule_to_unitary(SPACE, projection_rule(2, 3, 0))
-    psi = superpose([basis_state(6, 0), basis_state(6, 1)], [1, 1])
+    psi = PureState(np.array([1, 1, 0, 0, 0, 0]) / np.sqrt(2), 6)
     assert abs(cloning_fidelity(circ, 0, psi) - 0.5) < 1e-12
 
 
@@ -240,7 +232,7 @@ def test_cloning_fidelity_matches_cubic_formula():
 
 def test_cloning_respects_filler_choice():
     circ = lift_rule_to_unitary(SPACE, projection_rule(2, 3, 1))
-    psi = superpose([basis_state(6, 2), basis_state(6, 4)], [1, 1j])
+    psi = PureState(np.array([0, 0, 1, 0, 1j, 0]) / np.sqrt(2), 6)
     # overlap is sum over support of |c|^2 * conj(c); for (1, i)/sqrt(2) that
     # squares to 1/4, independent of which ballot fills the other register
     expected = abs(sum(abs(c) ** 2 * c.conjugate() for c in psi.amplitudes)) ** 2
@@ -424,7 +416,7 @@ def test_fidelities_refuse_a_malformed_support(rays, width, message):
 
 def test_no_cloning_scan_past_the_ballots_matches_its_frozen_digest():
     report = no_cloning_scan(BallotSpace(3, 8), trials=300, seed=5)
-    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+    text = json.dumps(asdict(report), sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == oracles.NO_CLONING_SCAN_D8_SHA256
 
 
@@ -461,7 +453,7 @@ def test_no_cloning_scan_explicit_states():
     assert basis_only.basis_like_count == 6
     with_plus = no_cloning_scan(
         SPACE,
-        states=[basis_state(6, 0), superpose([basis_state(6, 0), basis_state(6, 1)], [1, 1])],
+        states=[basis_state(6, 0), PureState(np.array([1, 1, 0, 0, 0, 0]) / np.sqrt(2), 6)],
     )
     assert with_plus.min_fidelity <= 0.5 + 1e-12
     # within BASIS_TOL (1e-6) of a basis ray counts as basis-like, farther does not
@@ -502,6 +494,13 @@ def test_instance_rejects_a_nan_vector():
     vecs[0, 0] = np.nan
     with pytest.raises(ValueError, match="unit length"):
         KSInstance(2, vecs, ((0, 1),), (1, 0))
+
+
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_instance_refuses_a_dimension_below_one(dimension):
+    # an empty basis of dimension 0 spans it, so a coloring of it failed the check
+    with pytest.raises(ValueError, match=rf"^dimension must be at least 1, got {dimension}$"):
+        KSInstance(dimension, np.empty((0, 0)), ((),), ())
 
 
 def test_basis_search_skips_a_nan_row():
@@ -604,6 +603,36 @@ def test_basis_search_on_known_sets():
     assert discover_orthonormal_bases(random_rays(7, 72)) == []
     copies = np.repeat(np.eye(4), 18, axis=0)  # rows 18j..18j+17 copy e_j
     assert discover_orthonormal_bases(copies) == list(product(*np.arange(72).reshape(4, 18).tolist()))
+
+
+@pytest.mark.parametrize("k", [80, 400])
+def test_basis_search_admits_random_rays_past_the_subset_count(k, monkeypatch):
+    # C(80, 4) = 1.6 M subsets were once refused, though the search holds
+    # only the k-by-k table and finds nothing in milliseconds
+    monkeypatch.delenv("ARROWQ_GUARD_OVERRIDE", raising=False)
+    assert discover_orthonormal_bases(random_rays(7, k)) == []
+
+
+def test_basis_search_guards_the_tables_it_holds(monkeypatch):
+    monkeypatch.delenv("ARROWQ_GUARD_OVERRIDE", raising=False)
+    with pytest.raises(SizeLimitError, match=r"^basis search orthogonality table k\^2 = 2099601 "):
+        discover_orthonormal_bases(np.ones((1449, 2)))
+    # d = 1 checks no pair, so no k-by-k table limits the rows
+    assert len(discover_orthonormal_bases(np.ones((4096, 1)))) == 4096
+    # 64 copies of each e_j: 64^4 = 16.8 M bases; their pairs are 24,576
+    # cliques, whose common-neighbour table would hold 24,576 * 256 entries
+    copies = np.repeat(np.eye(4), 64, axis=0)
+    message = r"^basis search common-neighbour table cliques\*k = 6291456 exceeds the size guard 2097152 "
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        with pytest.raises(SizeLimitError, match=message):
+            discover_orthonormal_bases(copies)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 1 << 22
 
 
 # ---- pairwise decomposition: one row of ballot bits per ballot ----
