@@ -84,7 +84,7 @@ def _pieces(value, indent: str = ""):
             separator = f",\n{inner}"
         yield f"\n{indent}}}"
     elif _JSON_SCALARS.issuperset(map(type, value)):
-        items = json.JSONEncoder(separators=(f",\n{inner}", ": ")).encode(value)
+        items = _list_encoder(inner)(value)
         yield f"[\n{inner}{items[1:-1]}\n{indent}]"
     else:
         separator = f"[\n{inner}"
@@ -95,6 +95,27 @@ def _pieces(value, indent: str = ""):
         yield f"\n{indent}]"
 
 
+@lru_cache(maxsize=64)
+def _list_encoder(inner: str):
+    """The encode of a JSON encoder with ",\n" + inner as its item
+    separator, one per indent."""
+    return json.JSONEncoder(separators=(f",\n{inner}", ": ")).encode
+
+
+@lru_cache(maxsize=64)
+def _row_template(shape: tuple[int, ...], indent: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """(template, slots, count) of _digit_pieces for rows of the shape
+    under indent: the read-only bytes of an all-zero row behind its
+    separator, the read-only byte offsets of its digits, in order, and
+    the rows per piece."""
+    inner = indent + "  "
+    row = f",\n{inner}" + _encode(np.zeros(shape, dtype=int).tolist(), inner)
+    template = np.frombuffer(row.encode(), dtype=np.uint8)  # read-only: it views the bytes
+    slots = np.flatnonzero(template == ord("0"))
+    slots.flags.writeable = False
+    return template, slots, max(1, _PIECE_BYTES // len(template))
+
+
 def _digit_pieces(array: np.ndarray, indent: str):
     """The text of _encode(array.tolist(), indent), in pieces, for an
     integer array of one or more dimensions whose entries are digits 0-9,
@@ -102,11 +123,12 @@ def _digit_pieces(array: np.ndarray, indent: str):
 
     A single digit prints as one byte, so every row's text has the layout
     of an all-zero row and differs from it only in the zeros' bytes.  That
-    row, encoded once behind its separator, is tiled into a byte buffer
-    once, and each row's digits, in order, are scattered over its zeros'
-    bytes in one assignment.  The opening "[\\n" + indent has the
-    separator's layout, so the first piece's first comma becomes the
-    bracket, and later pieces put the comma back.
+    row, encoded behind its separator once per row shape and indent
+    (_row_template), is tiled into a byte buffer once per call, and each
+    row's digits, in order, are scattered over its zeros' bytes in one
+    assignment.  The opening "[\\n" + indent has the separator's layout,
+    so the first piece's first comma becomes the bracket, and later pieces
+    put the comma back.
 
     The rows go out at most _PIECE_BYTES of text at a time, each piece
     decoded from the one buffer that every piece reuses.  A buffer of the
@@ -120,11 +142,7 @@ def _digit_pieces(array: np.ndarray, indent: str):
     if not len(array):
         yield "[]"
         return
-    inner = indent + "  "
-    row = f",\n{inner}" + _encode(np.zeros(array.shape[1:], dtype=int).tolist(), inner)
-    template = np.frombuffer(row.encode(), dtype=np.uint8)
-    slots = np.flatnonzero(template == ord("0"))  # a row's digits, in order
-    count = max(1, _PIECE_BYTES // len(template))  # rows per piece
+    template, slots, count = _row_template(array.shape[1:], indent)
     buffer = np.tile(template, (min(count, len(array)), 1))
     for first in range(0, len(array), count):
         block = array[first:first + count]

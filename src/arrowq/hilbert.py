@@ -324,10 +324,12 @@ def ks_instance_from_json_dict(data: dict) -> KSInstance:
         d, rows = data["dimension"], data["vectors"]
         if type(d) is not int:
             raise ValueError(f"dimension must be an integer, got {d!r}")
+        if d < 1:  # no row fits it: KSInstance refuses it, after a missing basis
+            rows = []
         if any(type(row) is not list or len(row) != d for row in rows):
             raise ValueError(f"vectors must be lists of {d} amplitudes")
         vectors = json_amplitudes([z for row in rows for z in row], "a vector entry")
-        vectors = vectors.reshape(len(rows), max(d, 0))  # KSInstance refuses d < 1
+        vectors = vectors.reshape(len(rows), max(d, 0))
         bases = tuple(json_ints(b, "a basis") for b in data["bases"])
         coloring = json_ints(data["coloring"], "the coloring")
     except (KeyError, TypeError, ValueError) as exc:

@@ -564,35 +564,64 @@ class FairRules(Sequence):
                    for f in fields(self))
 
 
-def _triple_rows(m: int, n: int) -> np.ndarray:
-    """_triple_vars behind its guard, which the cache must not skip; n >= 3."""
+def _nogoods(m: int, n: int) -> np.ndarray:
+    """_nogood_literals behind its guard, which the cache must not skip;
+    n >= 3."""
     check_pairwise_size(m, n)
-    return _triple_vars(m, n)
+    return _nogood_literals(m, n)
 
 
 @lru_cache(maxsize=8)
-def _triple_vars(m: int, n: int) -> np.ndarray:
-    """[triples, 6^m, 3] variables pair * 2^m + voter vector on the pairs
-    (xy, yz, xz) of each triple x < y < z, as np.intp, which numpy indexes
-    with directly where a narrower type goes through a buffered cast: the
-    search's nogoods.  A voter's bits are any pattern but the cyclic
-    (1, 1, 0) and (0, 0, 1), so every triple has the same 6^m rows of voter
-    vectors: all combinations of the voters' six patterns, voter 0 the most
-    significant digit, built one voter at a time (no [6^m, m, 3] array)."""
+def _nogood_literals(m: int, n: int) -> np.ndarray:
+    """The search's nogoods as one read-only [3, 2C] intp array of literals
+    2 * variable + bit, variable pair * 2^m + voter vector, on the pairs
+    (xy, yz, xz) of each triple x < y < z: first every row's cyclic outcome
+    (1, 1, 0), then every row's (0, 0, 1), so a sweep sums three contiguous
+    rows.  intp, which numpy indexes with directly where a narrower type
+    goes through a buffered cast.
+
+    A voter's bits are any pattern but the two cyclic ones, so every
+    triple has the same 6^m rows of voter vectors: all combinations of the
+    voters' six patterns, voter 0 the most significant digit, built one
+    voter at a time (no [6^m, m, 3] array).  Each triple's columns are
+    those rows' literals offset by its pairs, written in place, so no
+    [triples, 6^m, 3] array is built beside the literals."""
     k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
-    triples = [(k[x, y], k[y, z], k[x, z]) for x, y, z in combinations(range(n), 3)]
+    triples = np.array([(k[x, y], k[y, z], k[x, z]) for x, y, z in combinations(range(n), 3)],
+                       dtype=np.intp) << m + 1  # each triple's pairs' first literals
     acyclic = np.array([(0, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)], dtype=np.intp)
     rows = np.zeros((1, 3), dtype=np.intp)
     for i in range(m):
         rows = (rows[:, None] | acyclic << i).reshape(-1, 3)
-    return _read_only((np.array(triples, dtype=np.intp).reshape(-1, 1, 3) << m) + rows)
+    cyclic = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.intp)[..., None]
+    base = (rows.T[:, None] << 1) | cyclic  # [3, 2, 6^m]: the literals less their pairs
+    lits = np.empty((3, 2, len(triples), len(rows)), dtype=np.intp)
+    for t, offsets in enumerate(triples):
+        np.add(base, offsets[:, None, None], out=lits[:, :, t])
+    return _read_only(lits.reshape(3, -1))
 
 
 def _acyclic(m: int, n: int, tables: np.ndarray) -> bool:
-    """The [pairs, 2^m] tables of n >= 3 alternatives meet no cyclic outcome
-    on any row of _triple_rows, the search's nogoods: the rule is total."""
-    xy, yz, xz = tables.ravel()[_triple_rows(m, n)].transpose(2, 0, 1)
-    return not ((xy == yz) & (yz != xz)).any()
+    """The [pairs, 2^m] tables of n >= 3 alternatives meet none of the
+    search's nogoods: the rule is total.  The tables' literal truth table,
+    literal 2 * variable + bit true where the variable holds that bit, is
+    gathered at every nogood, and a nogood is met where all its literals
+    are true."""
+    bits = tables.ravel()
+    truth = np.empty(2 * len(bits), dtype=bool)
+    truth[1::2] = bits
+    truth[0::2] = ~truth[1::2]
+    return not truth[_nogoods(m, n)].all(axis=0).any()
+
+
+@lru_cache(maxsize=8)
+def _unanimity_values(m: int, n: int) -> np.ndarray:
+    """The search's read-only start, one int8 per variable pair * 2^m +
+    voter vector: x[k][0] = 0 and x[k][2^m - 1] = 1, the unanimity unit
+    clauses, and -1 (unassigned) elsewhere."""
+    values = np.full((n * (n - 1) // 2, 1 << m), -1, dtype=np.int8)
+    values[:, 0], values[:, -1] = 0, 1
+    return _read_only(values.ravel())
 
 
 def _propagate(truth: np.ndarray, nogoods: Sequence[np.ndarray]) -> bool:
@@ -694,24 +723,20 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     significant, by unpacking the bits of a row counter stored big-endian
     in the narrowest unsigned type.
 
-    Otherwise every variable lies in a nogood.  Each cached intp row of
-    _triple_vars gives the literals of its two nogoods, and _search lists
-    the rules, in table order, with its counters.
+    Otherwise every variable lies in a nogood.  _search reads the cached
+    nogood literals of the size directly and lists the rules, in table
+    order, with its counters.
     """
-    check_rule_size(m, n)
     npairs = n * (n - 1) // 2
     if n < 3:  # at most 2^4 voter vectors per pair, and the listing's 16,384 rules
+        check_rule_size(m, n)
         check_power_guard(2, m, 16, "profile bit-vector size 2^m")
         check_power_guard(2, npairs * ((1 << m) - 2), 1 << 14,
                           "fair rule count 2^(pairs*(2^m-2))")
     else:
-        var = _triple_rows(m, n).reshape(-1, 3).T  # [3, rows]: xy, yz, xz
+        lits = _nogoods(m, n)  # check_pairwise_size runs check_rule_size first
     size = 1 << m
-
-    # unanimity: x[k][0] = 0 and x[k][2^m - 1] = 1
-    values = np.full((npairs, size), -1, dtype=np.int8)
-    values[:, 0], values[:, -1] = 0, 1
-    values = values.ravel()
+    values = _unanimity_values(m, n)
     if n < 3:
         free = np.flatnonzero(values < 0)
         counter = np.arange(1 << len(free), dtype=np.min_scalar_type(
@@ -722,10 +747,6 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
         return FairRules(m, n, rows.reshape(len(rows), npairs, size),
                          2 * npairs, 0, 2 * npairs, 0)
 
-    # [3, nogoods] literals 2 * variable + bit, every row's cyclic outcome
-    # (1, 1, 0), then every row's (0, 0, 1): a sweep sums three contiguous rows
-    cyclic = np.array([[1, 0], [1, 0], [0, 1]], dtype=np.intp)[..., None]
-    lits = ((var[:, None] << 1) | cyclic).reshape(3, -1)
     leaves, decisions, propagations, conflicts = _search(values, [lits])
     return FairRules(m, n, leaves.reshape(len(leaves), npairs, size),
                      2 * npairs + lits.shape[1], decisions, propagations, conflicts)

@@ -394,7 +394,9 @@ def kron_ch(psi, a1, a2, b1, b2):
 # rules were nested lists; each equals json.dumps(report, sort_keys=True,
 # indent=2) + "\n" of its own parse.  (4, 2) lists 16,384 rules.
 VERIFY_ARROW_REPORT_SHA256 = {
+    (2, 4): "50a933f8ee0fcb4213f30de64c72d5c0049ea4581818fc3c6bc3392d406b02ea",
     (3, 2): "66bab88d983a386bec75f1b7ac2dc779f86e527bb7f55c75bcf8a596ddad4b37",
+    (3, 3): "190c0da18484cb4f8a5608907476a2b958550ece15aaa6df13d8e6fc445ab73a",
     (4, 2): "a8627c997fc4ff446c33afa87dde4696963a08276cea2e67f429237a8164f459",
     (4, 8): "ee4b5976aa23221672476393cf7ef595ac051536310b18d3110ad0102422e863",
 }

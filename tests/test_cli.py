@@ -991,6 +991,17 @@ def test_ks_verify_refuses_a_dimension_below_one(tmp_path, capsys, dimension):
     )
 
 
+@pytest.mark.parametrize("vectors", [[[]], [[[1, 0]]], "not rows"])
+def test_ks_verify_refuses_a_dimension_below_one_before_its_rows(tmp_path, capsys, vectors):
+    # no row has -1 entries, so the row-length check gave "vectors must be
+    # lists of -1 amplitudes" where "vectors": [] gets the dimension line
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"dimension": -1, "vectors": vectors, "bases": [[0]], "coloring": [0]}))
+    assert run_main(capsys, "ks-verify", "--instance", str(path)) == (
+        2, "", "error: dimension must be at least 1, got -1\n"
+    )
+
+
 def test_ks_verify_missing_instance_flag():
     proc = run_cli("ks-verify", check_stderr_timing=False)
     assert proc.returncode == 2
@@ -1037,6 +1048,33 @@ def test_a_report_the_writer_refuses_writes_nothing(capsys, tmp_path):
             cli._emit(report, output)
     assert capsys.readouterr().out == ""
     assert path.read_text() == "an earlier report\n"
+
+
+def test_writer_row_templates_are_cached_read_only():
+    rules = np.array([[[0, 1], [1, 1]], [[1, 0], [0, 1]]], dtype=np.int8)
+    first = cli._encode({"rules": rules})
+    template, slots, _ = cli._row_template(rules.shape[1:], "  ")
+    assert cli._encode({"rules": rules[::-1]}) == json.dumps(
+        {"rules": rules[::-1].tolist()}, sort_keys=True, indent=2)
+    assert cli._row_template(rules.shape[1:], "  ")[0] is template  # one per shape and indent
+    for array in (template, slots):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert cli._encode({"rules": rules}) == first
+
+
+def test_verify_arrow_reports_in_one_process_match_their_digests(monkeypatch):
+    # the cached literals, unanimity values and row templates of one size
+    # are read by later calls; a call of another size in between changes
+    # no byte of the next report
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    outs = []
+    for m, n in ((3, 3), (4, 2), (2, 4), (3, 3)):
+        proc = run_cli("verify-arrow", "--voters", str(m), "--alternatives", str(n))
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == oracles.VERIFY_ARROW_REPORT_SHA256[m, n]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[-1]
 
 
 def test_timing_flag_adds_key_and_breaks_nothing_else():

@@ -372,8 +372,8 @@ def test_ud_triples_without_a_triple_reads_no_triple_rows(monkeypatch, m, n):
     def refuse(*args):
         raise AssertionError("triple rows read without a triple")
 
-    monkeypatch.setattr(social_choice, "_triple_vars", refuse)
-    monkeypatch.setattr(social_choice, "_triple_rows", refuse)
+    monkeypatch.setattr(social_choice, "_nogood_literals", refuse)
+    monkeypatch.setattr(social_choice, "_nogoods", refuse)
     rule = projection_rule(m, n, 0)
     assert check_ud_triples(rule)
     assert rule.is_total()
@@ -386,6 +386,45 @@ def test_cyclic_pairwise_rule_is_not_total():
     assert not majority.is_total()
     # on two alternatives an odd electorate can never cycle
     assert check_ud(pairwise_majority_rule(3, 2))
+
+
+def random_pairwise_tables(rng, m, n):
+    """Tables for every pair.  Half the draws mix, per pair, uniform random
+    bits, a voter's projection, its negation and constants, which cycle on
+    some profile more often than not; the other half give every pair the
+    same voter's projection, its negation, or one random order's bit, all
+    total."""
+    vectors = np.arange(1 << m)
+    voter, order = rng.integers(m), rng.permutation(n)
+    if rng.integers(2):
+        kind = rng.integers(3)
+        return tuple(tuple([(vectors >> voter) & 1, 1 - ((vectors >> voter) & 1),
+                            np.full(1 << m, int(order[a] < order[b]))][kind].tolist())
+                     for a, b in alternative_pairs(n))
+    tables = []
+    for _ in alternative_pairs(n):
+        kind, voter = rng.integers(4), rng.integers(m)
+        table = [rng.integers(0, 2, 1 << m), (vectors >> voter) & 1,
+                 1 - ((vectors >> voter) & 1), np.full(1 << m, rng.integers(2))][kind]
+        tables.append(tuple(table.tolist()))
+    return tuple(tables)
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_is_total_matches_a_brute_force_over_the_profile_domain(m, n):
+    # is_total gathers the tables' literal truth table at the search's
+    # nogoods; the oracle reads every profile's tournament off the domain
+    rng = np.random.default_rng(1000 * m + n)
+    inputs = profile_domain(m, n).pair_inputs
+    tables = [random_pairwise_tables(rng, m, n) for _ in range(40)]
+    verdicts = []
+    for rule_tables in tables:
+        rule = VotingRule(m, n, tables=rule_tables)
+        bits = np.array(rule_tables)[np.arange(inputs.shape[1]), inputs]
+        want = all(oracles.tournament_is_acyclic(row, n) for row in np.unique(bits, axis=0).tolist())
+        assert rule.is_total() == want
+        verdicts.append(want)
+    assert True in verdicts and False in verdicts
 
 
 def test_find_dictator_examples():
@@ -696,9 +735,9 @@ def test_two_alternative_listing_is_guarded_by_its_rule_count(monkeypatch, overr
 
 
 def test_triple_rows_cached_under_an_override_keep_their_guard(monkeypatch):
-    # the guard is checked outside _triple_vars' cache: rows built while the
-    # override admits (6, 6) do not let the search, the audit or a builder
-    # past it later
+    # the guard is checked outside _nogood_literals' cache: literals built
+    # while the override admits (6, 6) do not let the search, the audit or a
+    # builder past it later
     monkeypatch.setenv(GUARD_ENV, "2")
     rule = projection_rule(6, 6, 0)
     assert rule.is_total()
@@ -710,9 +749,28 @@ def test_triple_rows_cached_under_an_override_keep_their_guard(monkeypatch):
         projection_rule(6, 6, 0)
     with pytest.raises(SizeLimitError, match=message):
         enumerate_fair_rules(6, 6)
-    hits = social_choice._triple_vars.cache_info().hits
-    social_choice._triple_vars(6, 6)  # the rows are still cached
-    assert social_choice._triple_vars.cache_info().hits == hits + 1
+    hits = social_choice._nogood_literals.cache_info().hits
+    social_choice._nogood_literals(6, 6)  # the literals are still cached
+    assert social_choice._nogood_literals.cache_info().hits == hits + 1
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (2, 4)])
+def test_search_tables_are_cached_read_only(m, n):
+    # the search and is_total share them, so a write by one would reach
+    # every later call of the size
+    values = social_choice._unanimity_values(m, n)
+    enumerate_fair_rules(m, n)
+    assert social_choice._unanimity_values(m, n) is values
+    arrays = [values]
+    if n > 2:
+        arrays.append(social_choice._nogoods(m, n))
+        assert projection_rule(m, n, 0).is_total()
+        assert social_choice._nogoods(m, n) is arrays[-1]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[..., 0] = 1
+    assert [r.tables for r in enumerate_fair_rules(m, n)] == (
+        FAIR_22 if n == 2 else projection_tables(m, n))
 
 
 @pytest.mark.parametrize("override", [None, "1", "3", "1000"])
@@ -746,13 +804,21 @@ def test_search_never_builds_a_profile_domain(monkeypatch):
 def test_closed_form_nogoods_match_the_profile_domain(m, n):
     # the derivation the closed form replaced: per triple, the distinct
     # (xy, yz, xz) rows of the domain's pair inputs, as variables
-    # pair * 2^m + voter vector; the search reads each cached row once per
-    # cyclic outcome
+    # pair * 2^m + voter vector; the cached literals hold each row once per
+    # cyclic outcome, (1, 1, 0) in the first half of the columns and
+    # (0, 0, 1) in the second, in the same row order
     inputs = profile_domain(m, n).pair_inputs.astype(np.int64)
     k = {pair: i for i, pair in enumerate(alternative_pairs(n))}
-    got = social_choice._triple_vars(m, n)
-    assert got.shape == (len(list(combinations(range(n), 3))), 6 ** m, 3)
-    assert got.dtype == np.intp  # a narrower index makes every gather cast it
+    lits = social_choice._nogood_literals(m, n)
+    triples = len(list(combinations(range(n), 3)))
+    assert lits.shape == (3, 2 * triples * 6 ** m)
+    assert lits.dtype == np.intp  # a narrower index makes every gather cast it
+    assert lits.flags.c_contiguous
+    first, second = np.split(lits, 2, axis=1)
+    assert np.array_equal(first >> 1, second >> 1)
+    assert (first & 1 == np.array([[1], [1], [0]])).all()
+    assert (second & 1 == np.array([[0], [0], [1]])).all()
+    got = (first >> 1).T.reshape(triples, 6 ** m, 3)
     for t, (x, y, z) in enumerate(combinations(range(n), 3)):
         cols = np.array([k[x, y], k[y, z], k[x, z]])
         want = cols * (1 << m) + np.unique(inputs[:, cols], axis=0)
