@@ -35,7 +35,9 @@ from .social_choice import projection_rule, rule_from_json_dict, verify_arrow
 
 DEFAULT_THETAS = (0.0, pi / 8, pi / 4, 3 * pi / 8, pi / 2)
 TSIRELSON = 2 * sqrt(2.0)
-_PIECE_BYTES = 1 << 16  # largest text piece a digit array is written in
+# largest text piece a digit array is written in: a 4 MB table goes out in
+# pieces small enough to reuse the heap's freed chunks (see _digit_pieces)
+_PIECE_BYTES = 1 << 15
 # json's text for a value of each exact scalar type; anything else,
 # subclasses and non-finite floats included, goes through json.dumps
 _SCALAR_TEXT = {
@@ -103,17 +105,16 @@ def _list_encoder(inner: str):
 
 
 @lru_cache(maxsize=64)
-def _row_template(shape: tuple[int, ...], indent: str) -> tuple[np.ndarray, np.ndarray, int]:
-    """(template, slots, count) of _digit_pieces for rows of the shape
-    under indent: the read-only bytes of an all-zero row behind its
-    separator, the read-only byte offsets of its digits, in order, and
-    the rows per piece."""
+def _row_template(shape: tuple[int, ...], indent: str) -> tuple[np.ndarray, np.ndarray]:
+    """(template, slots) of _digit_pieces for rows of the shape under
+    indent: the read-only bytes of an all-zero row behind its separator
+    and the read-only byte offsets of its digits, in order."""
     inner = indent + "  "
     row = f",\n{inner}" + _encode(np.zeros(shape, dtype=int).tolist(), inner)
     template = np.frombuffer(row.encode(), dtype=np.uint8)  # read-only: it views the bytes
     slots = np.flatnonzero(template == ord("0"))
     slots.flags.writeable = False
-    return template, slots, max(1, _PIECE_BYTES // len(template))
+    return template, slots
 
 
 def _digit_pieces(array: np.ndarray, indent: str):
@@ -134,7 +135,11 @@ def _digit_pieces(array: np.ndarray, indent: str):
     decoded from the one buffer that every piece reuses.  A buffer of the
     whole text (4.0 MB of rule rows at 4 voters and 2 alternatives) was a
     fresh allocation on every call, and each of its pages a fresh page
-    fault."""
+    fault.  A caller that keeps every piece, as a StringIO does until it
+    joins them, holds the table's text twice over; 32 KiB pieces fit more
+    of the heap's freed chunks than 64 KiB ones, so such a caller grows
+    the heap less per report, and glibc does not trim the freed top and
+    fault it in again on every call."""
     if array.dtype.kind not in "iu" or array.ndim < 1 or (
             array.size and not 0 <= array.min() <= array.max() <= 9):
         raise ValueError(f"cannot write a {array.dtype} array of shape {array.shape}:"
@@ -142,7 +147,8 @@ def _digit_pieces(array: np.ndarray, indent: str):
     if not len(array):
         yield "[]"
         return
-    template, slots, count = _row_template(array.shape[1:], indent)
+    template, slots = _row_template(array.shape[1:], indent)
+    count = max(1, _PIECE_BYTES // len(template))  # rows per piece
     buffer = np.tile(template, (min(count, len(array)), 1))
     for first in range(0, len(array), count):
         block = array[first:first + count]

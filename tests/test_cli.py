@@ -1053,7 +1053,7 @@ def test_a_report_the_writer_refuses_writes_nothing(capsys, tmp_path):
 def test_writer_row_templates_are_cached_read_only():
     rules = np.array([[[0, 1], [1, 1]], [[1, 0], [0, 1]]], dtype=np.int8)
     first = cli._encode({"rules": rules})
-    template, slots, _ = cli._row_template(rules.shape[1:], "  ")
+    template, slots = cli._row_template(rules.shape[1:], "  ")
     assert cli._encode({"rules": rules[::-1]}) == json.dumps(
         {"rules": rules[::-1].tolist()}, sort_keys=True, indent=2)
     assert cli._row_template(rules.shape[1:], "  ")[0] is template  # one per shape and indent
