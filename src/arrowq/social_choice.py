@@ -13,7 +13,8 @@ a rule's outcome ranks.  They quantify over the profiles the rule decides,
 those without a None entry or a cyclic tournament, so partial tables work.
 A pairwise rule is read off its tables where a closed form decides: IIA
 always, Pareto when every table respects unanimity, totality by the
-search's nogood test, and a dictator of a total rule by comparing tables.
+search's nogood test, and a dictator of a rule that is total or respects
+unanimity by comparing tables.
 """
 
 from __future__ import annotations
@@ -412,7 +413,7 @@ def check_pareto(rule: VotingRule):
     A pairwise rule whose every table maps the all-zero vector to 0 and the
     all-one vector to 1 holds in closed form.  Otherwise only the cells
     where the voters are unanimous are read."""
-    if rule.tables is not None and all(t[0] == 0 and t[-1] == 1 for t in rule.tables):
+    if _keeps_unanimity(rule):
         return True, None
     domain = profile_domain(rule.voters, rule.alternatives)
     cells, veto = domain.unanimous_cells
@@ -491,11 +492,22 @@ def _copying_voters(rule: VotingRule) -> np.ndarray:
     return ((ballots == ranks) | (ranks < 0)).all(axis=0)
 
 
+def _keeps_unanimity(rule: VotingRule) -> bool:
+    """A pairwise rule whose every table maps the all-zero vector to 0 and
+    the all-one vector to 1."""
+    return rule.tables is not None and all(t[0] == 0 and t[-1] == 1 for t in rule.tables)
+
+
 def _per_voter(rule: VotingRule, total: bool) -> np.ndarray:
-    """_copying_voters, read off the tables for a total pairwise rule: every
-    voter vector occurs on every pair, so a voter's ballot is the outcome
-    everywhere exactly when every table is that voter's projection."""
-    if rule.tables is not None and total:
+    """_copying_voters, read off the tables of a pairwise rule that is total
+    or keeps unanimity: every (pair, voter vector) cell then occurs at a
+    decided profile, so a voter's ballot is the outcome everywhere exactly
+    when every table is that voter's projection.  A rule that keeps
+    unanimity decides the profile where every voter puts the pair on top,
+    in the order the vector gives, above one common order of the rest:
+    every other pair is unanimous, so the outcome is that order with the
+    pair's bit on top."""
+    if rule.tables is not None and (total or _keeps_unanimity(rule)):
         return _projection_copies(rule.table_bits[None], rule.voters)[:, 0]
     return _copying_voters(rule)
 
@@ -628,8 +640,9 @@ def _propagate(truth: np.ndarray, nogoods: Sequence[np.ndarray]) -> bool:
     """Unit propagation, in place.  truth holds one int8 per literal
     2 * variable + bit: 1 where the variable holds that bit, -1 where it
     holds the other, 0 while it is unassigned.  A nogood array is [w, C]
-    literals, one nogood of width w < 128 per column, met when all w are
-    true.
+    literals, one nogood of width w per column, met when all w are true;
+    its column sums are int8 below width 128 and int16 below 32,768, and a
+    wider array is refused.
 
     A nogood's true literals less its false ones number w exactly when all
     are true, and w - 1 exactly when one is unassigned and the rest true:
@@ -641,11 +654,14 @@ def _propagate(truth: np.ndarray, nogoods: Sequence[np.ndarray]) -> bool:
     slower at (6, 5)).  Sweeps repeat until one sets nothing.  False on a
     conflict: a nogood with every literal true, or a sweep that would set
     one variable both ways, in which case that sweep assigns nothing."""
+    for lits in nogoods:
+        if len(lits) >= 1 << 15:
+            raise ValueError(f"nogood width {len(lits)}: a sweep sums widths up to 32,767")
     while True:
         forced = []
         for lits in nogoods:
             state = truth[lits]
-            score = state.sum(axis=0, dtype=np.int8)
+            score = state.sum(axis=0, dtype=np.int8 if len(lits) < 128 else np.int16)  # -w..w
             top = score.max()
             if top == len(lits):
                 return False
@@ -755,25 +771,25 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
 @dataclass(frozen=True)
 class ArrowVerification:
     """Outcome of enumerating fair rules and testing each for a dictator;
-    rules carries the search's counters."""
+    rules carries the search's counters.
+
+    dictator_codes is one read-only int array, each rule's least voter that
+    dictates or -1 where none does; it is a function of rules, so equality
+    reads rules alone.  rule_dictators, the same with None for -1, is built
+    from it on first access."""
 
     voters: int
     alternatives: int
     fair_rule_count: int
     all_dictatorial: bool
     dictators: tuple[int, ...]
-    rule_dictators: tuple[Optional[int], ...]
+    dictator_codes: np.ndarray = field(repr=False, compare=False)
     rules: FairRules = field(repr=False)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "voters": self.voters,
-            "alternatives": self.alternatives,
-            "fair_rule_count": self.fair_rule_count,
-            "all_dictatorial": self.all_dictatorial,
-            "dictators": list(self.dictators),
-            "rule_dictators": list(self.rule_dictators),
-        }
+    @cached_property
+    def rule_dictators(self) -> tuple[Optional[int], ...]:
+        voters = np.array((*range(self.voters), None), dtype=object)
+        return tuple(voters[self.dictator_codes].tolist())  # -1 reads None
 
     def stats(self) -> dict:
         return {name: getattr(self.rules, name)
@@ -795,10 +811,10 @@ def verify_arrow(m: int, n: int) -> ArrowVerification:
     first = np.full(len(rules), -1)
     for voter in reversed(range(m)):  # the least voter that copies writes last
         first[copies[voter]] = voter
-    per_rule = tuple(np.array((*range(m), None), dtype=object)[first].tolist())  # -1 is None
     dictated = first >= 0
     dictators = tuple(sorted(set(first[dictated].tolist())))
-    return ArrowVerification(m, n, len(rules), bool(dictated.all()), dictators, per_rule, rules)
+    return ArrowVerification(m, n, len(rules), bool(dictated.all()), dictators,
+                             _read_only(first), rules)
 
 
 def _projection_copies(tables: np.ndarray, m: int) -> np.ndarray:

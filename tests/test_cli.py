@@ -178,6 +178,28 @@ def test_verify_arrow_builds_no_voting_rule(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == oracles.VERIFY_ARROW_REPORT_SHA256[4, 2]
 
 
+def test_verify_arrow_never_builds_the_per_rule_dictators(monkeypatch, capsys):
+    # the report writes the dictator codes as they are; the tuple of 16,384
+    # Python objects is ArrowVerification's, built only when it is read
+    def refuse(self):
+        raise AssertionError("the per-rule dictator tuple was built")
+
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    monkeypatch.setattr(social_choice.ArrowVerification, "rule_dictators", property(refuse))
+    code, out, _ = run_main(capsys, "verify-arrow", "--voters", "4", "--alternatives", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == oracles.VERIFY_ARROW_REPORT_SHA256[4, 2]
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for n in (1, 2) for m in range(1, 5)] + [(2, 3), (3, 3), (4, 3)])
+def test_verify_arrow_reports_every_rule_dictator(monkeypatch, capsys, m, n):
+    monkeypatch.delenv(GUARD_ENV, raising=False)
+    code, out, _ = run_main(capsys, "verify-arrow", "--voters", str(m), "--alternatives", str(n))
+    assert code in (0, 1)  # one alternative with two or more voters fails the n <= 2 check
+    dictators = list(social_choice.verify_arrow(m, n).rule_dictators)
+    assert json.loads(out)["results"]["rule_dictators"] == dictators
+
+
 @pytest.mark.parametrize("m, n", sorted(oracles.VERIFY_ARROW_REPORT_SHA256))
 def test_verify_arrow_reports_match_their_frozen_digests(monkeypatch, capsys, m, n):
     monkeypatch.delenv(GUARD_ENV, raising=False)
@@ -1168,6 +1190,42 @@ def test_report_writer_writes_digit_arrays_as_their_lists(array, depth, key, pie
 def test_report_writer_refuses_arrays_it_cannot_write(array):
     with pytest.raises(ValueError):
         cli._encode({"rules": array})
+
+
+code_arrays = hnp.arrays(st.sampled_from([np.int8, np.int64]),
+                         hnp.array_shapes(min_dims=1, max_dims=1, min_side=0, max_side=40),
+                         elements=st.integers(-1, 12))
+
+
+@given(code_arrays, st.integers(0, 3), json_text)
+@example(np.array([], dtype=np.int64), 2, "rule_dictators")
+@example(np.full(7, -1), 2, "rule_dictators")  # no dictator
+@example(np.arange(10), 0, "")  # every rule dictated
+@example(np.array([-1, 3, 3, -1, 0, -1], dtype=np.int8), 1, "")  # -1 at both ends
+@example(np.array([2, -1, -1, 0]), 3, "")  # a code at both ends
+@example(np.array([-1]), 1, "")
+@example(np.array([5]), 0, "")
+@example(np.array([-1, 10, 123, -1, 7]), 1, "")  # codes of more than one digit
+def test_report_writer_writes_codes_as_their_lists_with_null(array, depth, key):
+    value, listed = cli._Codes(array), [None if c < 0 else c for c in array.tolist()]
+    for _ in range(depth):
+        value, listed = {key: value, "~": [value]}, {key: listed, "~": [listed]}
+    assert cli._encode(value) == json.dumps(listed, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([[0, -1]], dtype=np.int8),
+        np.array([-2, 0]),
+        np.array([0.0, -1.0]),
+        np.array([True, False]),
+        np.array(3),
+    ],
+)
+def test_report_writer_refuses_codes_it_cannot_write(array):
+    with pytest.raises(ValueError, match="codes -1 and up"):
+        cli._encode({"rule_dictators": cli._Codes(array)})
 
 
 def test_every_subcommand_report_has_the_stdlib_layout(tmp_path, capsys):

@@ -559,6 +559,28 @@ def table_rules(draw):
     return VotingRule(m, n, outcomes=tuple(outcomes))
 
 
+@pytest.mark.parametrize("rule", [
+    pairwise_majority_rule(3, 3),  # cycles on twelve profiles
+    pairwise_majority_rule(3, 4),
+    VotingRule(2, 4, tables=((0, 1, 1, 1),) * 6),
+    VotingRule(2, 3, tables=((0, 0, 1, 1), (0, 1, 0, 1), (0, 0, 1, 1))),  # voter 1, 0, 1 per pair
+], ids=["majority@3x3", "majority@3x4", "or@2x4", "mixed-projections@2x3"])
+def test_a_cyclic_rule_that_keeps_unanimity_is_audited_off_its_tables(monkeypatch, rule):
+    # every table keeps unanimity, so every (pair, voter vector) cell occurs
+    # at a decided profile and no profile is decoded for the verdicts
+    def refuse(*args):
+        raise AssertionError("the audit read the profiles")
+
+    m, n = rule.voters, rule.alternatives
+    profiles = list(product(oracles.all_rankings(n), repeat=m))
+    per_voter = oracles.copying_voters(rule.as_table().outcomes, profiles, m)
+    monkeypatch.setattr(social_choice, "_copying_voters", refuse)
+    monkeypatch.setattr(social_choice, "profile_domain", refuse)
+    report = arrow_report(rule)
+    assert not report.ud and report.per_voter == per_voter
+    assert report.dictator is find_dictator(rule) is None
+
+
 @settings(max_examples=80, deadline=None)
 @given(table_rules())
 @example(borda_rule(2, 3))
@@ -684,7 +706,9 @@ def test_fair_rule_outcomes_agree_with_oracle_evaluation():
 def test_verify_arrow_dichotomy():
     v = verify_arrow(2, 3)
     assert (v.fair_rule_count, v.all_dictatorial, v.dictators) == (2, True, (0, 1))
-    assert v.rule_dictators == (1, 0)
+    assert v.rule_dictators == (1, 0) and v.dictator_codes.tolist() == [1, 0]
+    with pytest.raises(ValueError, match="read-only"):
+        v.dictator_codes[0] = 0
     assert verify_arrow(2, 3) == v and v.rules == enumerate_fair_rules(2, 3)
     assert verify_arrow(2, 2).rules != v.rules and v.rules != list(v.rules)
     v22 = verify_arrow(2, 2)
@@ -929,6 +953,11 @@ def test_search_counters(m, n):
     }
 
 
+# the narrow widths, and the widths about where an int8 column sum stops
+# holding a unit (w - 1) or an all-true (w) nogood
+WIDTHS = [2, 3, 4, 127, 128, 129, 200]
+
+
 def literals(width, values, *nogoods):
     """_propagate's literal table for values (-1 unassigned) and its [width,
     C] literals 2 * var + bit for width-2 nogoods given as ((var, bit), ...),
@@ -945,7 +974,7 @@ def assigned(truth, count):
     return [-1 if t == 0 else int(t > 0) for t in truth[1:2 * count:2]]
 
 
-@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize("width", WIDTHS)
 def test_propagate_chain_reaches_fixpoint(width):
     # x0 = 1 forces x1 = 0; then x1 = 0 forces x2 = 1, in the next sweep,
     # from the nogood's first literal; the last nogood's x2 = 0 is false,
@@ -955,7 +984,7 @@ def test_propagate_chain_reaches_fixpoint(width):
     assert assigned(truth, 4) == [1, 0, 1, -1]
 
 
-@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize("width", WIDTHS)
 def test_propagate_all_true_nogood_is_a_conflict(width):
     truth, lits = literals(width, [1, 0], ((0, 1), (1, 0)))
     assert not social_choice._propagate(truth, [lits])
@@ -965,13 +994,36 @@ def test_propagate_all_true_nogood_is_a_conflict(width):
     assert assigned(truth, 2) == [1, 1]
 
 
-@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize("width", WIDTHS)
 def test_propagate_variable_forced_both_ways(width):
     # with x0 = 1 one nogood forces x1 = 0 and the other x1 = 1; the sweep
     # that finds it assigns nothing, x2's forcing included
     truth, lits = literals(width, [1, -1, -1], ((0, 1), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (2, 1)))
     assert not social_choice._propagate(truth, [lits])
     assert assigned(truth, 3) == [1, -1, -1]
+
+
+def test_propagate_refuses_a_width_its_sums_cannot_hold():
+    truth, lits = literals(1 << 15, [1, 0], ((0, 1), (1, 0)))
+    with pytest.raises(ValueError, match="^nogood width 32768: "):
+        social_choice._propagate(truth, [lits])
+    assert not social_choice._propagate(truth, [lits[1:]])  # width 32,767: all true
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+def test_search_on_wide_nogoods_matches_the_brute_force_completions(width):
+    # six variables, each nogood padded to the width with literals that
+    # hold, so the padding changes no branch: x0 = 1 forces x1 = x2 = 0,
+    # which makes the third nogood all true; an int8 sum missed that from
+    # width 128 and every unit from 129, and listed violating leaves
+    truth, lits = literals(width, [-1] * 6, ((0, 1), (1, 1)), ((0, 1), (2, 1)), ((1, 0), (2, 0)),
+                           ((3, 1), (4, 1)), ((4, 0), (5, 1)), ((2, 1), (5, 0)))
+    values = np.where(truth[1::2] == 0, -1, truth[1::2] > 0).astype(np.int8)
+    leaves, decisions, propagations, conflicts = social_choice._search(values, [lits])
+    pairs = [[divmod(lit, 2) for lit in column] for column in lits.T.tolist()]
+    assert list(map(tuple, leaves.tolist())) == oracles.formula_completions(values.tolist(), pairs)
+    # padding variables count as set by values
+    assert (len(leaves), decisions, propagations - (width - 2), conflicts) == (6, 12, 12, 1)
 
 
 def random_formula(seed):
