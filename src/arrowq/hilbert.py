@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial, isclose
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,6 +45,8 @@ class BallotSpace:
         nb = factorial(self.n)
         if self.d is None:
             object.__setattr__(self, "d", nb)
+        if isinstance(self.d, (bool, np.bool_)) or not isinstance(self.d, Integral):
+            raise ValueError(f"register size must be an integer, got {self.d!r}")
         if self.d < nb:
             raise ValueError(f"dimension {self.d} below ballot count {nb}")
 

@@ -29,6 +29,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from ._guards import SizeLimitError, check_guard, check_power_guard, json_int_lists, json_ints
+from .clauses import search, violated
 from .orders import (
     MAX_ALTERNATIVES,
     LinearOrder,
@@ -80,6 +81,8 @@ class ProfileDomain:
 
     def __init__(self, m: int, n: int):
         self.orders = enumerate_orders(n)
+        if m < 1:
+            raise ValueError("need at least one voter and one alternative")
         nb = len(self.orders)
         check_power_guard(nb, m, MAX_PROFILES, "profile count (n!)^m")
         position = np.argsort(self.orders, axis=1)
@@ -293,7 +296,8 @@ class VotingRule:
         triple meets a cyclic pattern on one of its 6^m rows of voter
         vectors, the search's nogood test; no profile is listed."""
         if self.tables is not None:
-            return self.alternatives < 3 or _acyclic(self.voters, self.alternatives, self.table_bits)
+            return self.alternatives < 3 or not violated(
+                self.table_bits.ravel(), [_nogoods(self.voters, self.alternatives)])
         return bool((self.outcome_ranks >= 0).all())
 
     def as_table(self) -> "VotingRule":
@@ -585,12 +589,10 @@ def _nogoods(m: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _nogood_literals(m: int, n: int) -> np.ndarray:
-    """The search's nogoods as one read-only [3, 2C] intp array of literals
-    2 * variable + bit, variable pair * 2^m + voter vector, on the pairs
-    (xy, yz, xz) of each triple x < y < z: first every row's cyclic outcome
-    (1, 1, 0), then every row's (0, 0, 1), so a sweep sums three contiguous
-    rows.  intp, which numpy indexes with directly where a narrower type
-    goes through a buffered cast.
+    """The search's nogoods as one read-only [3, 2C] clauses literal array,
+    variable pair * 2^m + voter vector, on the pairs (xy, yz, xz) of each
+    triple x < y < z: first every row's cyclic outcome (1, 1, 0), then
+    every row's (0, 0, 1), so a sweep sums three contiguous rows.
 
     A voter's bits are any pattern but the two cyclic ones, so every
     triple has the same 6^m rows of voter vectors: all combinations of the
@@ -613,19 +615,6 @@ def _nogood_literals(m: int, n: int) -> np.ndarray:
     return _read_only(lits.reshape(3, -1))
 
 
-def _acyclic(m: int, n: int, tables: np.ndarray) -> bool:
-    """The [pairs, 2^m] tables of n >= 3 alternatives meet none of the
-    search's nogoods: the rule is total.  The tables' literal truth table,
-    literal 2 * variable + bit true where the variable holds that bit, is
-    gathered at every nogood, and a nogood is met where all its literals
-    are true."""
-    bits = tables.ravel()
-    truth = np.empty(2 * len(bits), dtype=bool)
-    truth[1::2] = bits
-    truth[0::2] = ~truth[1::2]
-    return not truth[_nogoods(m, n)].all(axis=0).any()
-
-
 @lru_cache(maxsize=8)
 def _unanimity_values(m: int, n: int) -> np.ndarray:
     """The search's read-only start, one int8 per variable pair * 2^m +
@@ -634,93 +623,6 @@ def _unanimity_values(m: int, n: int) -> np.ndarray:
     values = np.full((n * (n - 1) // 2, 1 << m), -1, dtype=np.int8)
     values[:, 0], values[:, -1] = 0, 1
     return _read_only(values.ravel())
-
-
-def _propagate(truth: np.ndarray, nogoods: Sequence[np.ndarray]) -> bool:
-    """Unit propagation, in place.  truth holds one int8 per literal
-    2 * variable + bit: 1 where the variable holds that bit, -1 where it
-    holds the other, 0 while it is unassigned.  A nogood array is [w, C]
-    literals, one nogood of width w per column, met when all w are true;
-    its column sums are int8 below width 128 and int16 below 32,768, and a
-    wider array is refused.
-
-    A nogood's true literals less its false ones number w exactly when all
-    are true, and w - 1 exactly when one is unassigned and the rest true:
-    the unit case, which sets that literal's variable to the other bit.
-    One max over these sums tells a conflict or a sweep with nothing to
-    force before any forcing array is built.  Forcing then takes the
-    literals and truth values of the unit columns alone, so its work grows
-    with the unit nogoods, not with C (a full-width mask was about a fifth
-    slower at (6, 5)).  Sweeps repeat until one sets nothing.  False on a
-    conflict: a nogood with every literal true, or a sweep that would set
-    one variable both ways, in which case that sweep assigns nothing."""
-    for lits in nogoods:
-        if len(lits) >= 1 << 15:
-            raise ValueError(f"nogood width {len(lits)}: a sweep sums widths up to 32,767")
-    while True:
-        forced = []
-        for lits in nogoods:
-            state = truth[lits]
-            score = state.sum(axis=0, dtype=np.int8 if len(lits) < 128 else np.int16)  # -w..w
-            top = score.max()
-            if top == len(lits):
-                return False
-            if top == len(lits) - 1:
-                unit = (score == top).nonzero()[0]
-                forced.append(lits.take(unit, axis=1)[state.take(unit, axis=1) == 0])
-        if not forced:
-            return True
-        lit = np.concatenate(forced)
-        truth[lit] = -1
-        truth[lit ^ 1] = 1
-        # a variable forced both ways has both literals in lit, and the second
-        # write leaves both true; every forced literal was unassigned
-        if (truth[lit] != -1).any():
-            truth[lit] = truth[lit ^ 1] = 0
-            return False
-
-
-def _search(values: np.ndarray, nogoods: Sequence[np.ndarray]) -> tuple[np.ndarray, int, int, int]:
-    """Every completion of values (one int8 per variable, -1 unassigned)
-    that meets none of the nogoods, in lexicographic order, as [leaves,
-    variables] int8 bits, and the search's decisions (branch values tried),
-    propagations (variables set by unit propagation, values' own included)
-    and conflicts.  The nogoods are _propagate's [w, C] literal arrays.
-
-    The search propagates values first, then branches on the lowest
-    unassigned variable, 0 before 1, and sets every variable the nogoods
-    then force.  Each branch propagates on a copy of its parent's
-    assignment: nothing is undone."""
-    truth = np.empty(2 * len(values), dtype=np.int8)  # _propagate's literal table
-    truth[1::2] = np.where(values < 0, 0, 2 * values - 1)
-    truth[0::2] = -truth[1::2]
-    ok = _propagate(truth, nogoods)
-    decisions, propagations, conflicts = 0, int(np.count_nonzero(truth)) // 2, int(not ok)
-
-    leaves = []
-    stack = [truth] if ok else []  # assignments still to branch on, the next on top
-    while stack:
-        truth = stack.pop()
-        free = (truth[1::2] == 0).nonzero()[0]
-        if not free.size:
-            leaves.append(truth[1::2] > 0)
-            continue
-        assigned = len(values) - len(free)
-        first = 2 * int(free[0])
-        children = []
-        for bit in (0, 1):
-            decisions += 1
-            child = truth.copy()
-            lit = first + bit
-            child[lit], child[lit ^ 1] = 1, -1
-            ok = _propagate(child, nogoods)
-            propagations += int(np.count_nonzero(child)) // 2 - assigned - 1
-            if ok:
-                children.append(child)
-            else:
-                conflicts += 1
-        stack.extend(reversed(children))
-    return np.array(leaves, dtype=np.int8).reshape(-1, len(values)), decisions, propagations, conflicts
 
 
 def enumerate_fair_rules(m: int, n: int) -> FairRules:
@@ -734,14 +636,10 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
     it give two 3-literal nogoods, one per cyclic outcome.
 
     With fewer than three alternatives there is no triple, so no nogood is
-    built and no sweep runs: every completion of the unit clauses is a fair
-    rule.  They are listed in counting order, the lowest free variable most
-    significant, by unpacking the bits of a row counter stored big-endian
-    in the narrowest unsigned type.
-
-    Otherwise every variable lies in a nogood.  _search reads the cached
-    nogood literals of the size directly and lists the rules, in table
-    order, with its counters.
+    built, and search lists every completion of the unit clauses without a
+    sweep.  Otherwise every variable lies in a nogood, and search reads the
+    cached nogood literals of the size directly.  Either way it lists the
+    rules in table order, with its counters.
     """
     npairs = n * (n - 1) // 2
     if n < 3:  # at most 2^4 voter vectors per pair, and the listing's 16,384 rules
@@ -749,23 +647,13 @@ def enumerate_fair_rules(m: int, n: int) -> FairRules:
         check_power_guard(2, m, 16, "profile bit-vector size 2^m")
         check_power_guard(2, npairs * ((1 << m) - 2), 1 << 14,
                           "fair rule count 2^(pairs*(2^m-2))")
+        nogoods = []
     else:
-        lits = _nogoods(m, n)  # check_pairwise_size runs check_rule_size first
-    size = 1 << m
-    values = _unanimity_values(m, n)
-    if n < 3:
-        free = np.flatnonzero(values < 0)
-        counter = np.arange(1 << len(free), dtype=np.min_scalar_type(
-            (1 << len(free)) - 1).newbyteorder(">"))
-        bits = np.unpackbits(counter.view(np.uint8).reshape(len(counter), -1), axis=1)
-        rows = np.repeat(values[None], len(counter), axis=0)
-        rows[:, free] = bits[:, bits.shape[1] - len(free):]
-        return FairRules(m, n, rows.reshape(len(rows), npairs, size),
-                         2 * npairs, 0, 2 * npairs, 0)
-
-    leaves, decisions, propagations, conflicts = _search(values, [lits])
-    return FairRules(m, n, leaves.reshape(len(leaves), npairs, size),
-                     2 * npairs + lits.shape[1], decisions, propagations, conflicts)
+        nogoods = [_nogoods(m, n)]  # check_pairwise_size runs check_rule_size first
+    leaves, decisions, propagations, conflicts = search(_unanimity_values(m, n), nogoods)
+    return FairRules(m, n, leaves.reshape(len(leaves), npairs, 1 << m),
+                     2 * npairs + sum(lits.shape[1] for lits in nogoods),
+                     decisions, propagations, conflicts)
 
 
 @dataclass(frozen=True)

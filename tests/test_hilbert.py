@@ -52,8 +52,16 @@ SPACE = BallotSpace(3)
 def test_ballot_space_defaults_and_validation():
     assert SPACE.d == 6 and SPACE.ballots == 6
     assert BallotSpace(3, 8).d == 8
+    assert BallotSpace(3, np.int64(8)).d == 8 and BallotSpace(3, np.uint8(6)).d == 6
     with pytest.raises(ValueError):
         BallotSpace(3, 5)
+
+
+@pytest.mark.parametrize("n, d", [(3, 7.5), (3, 6.0), (3, np.float64(8.0)), (1, True), (1, np.True_)])
+def test_ballot_space_refuses_a_register_size_that_is_no_integer(n, d):
+    # a float space once built, and its lift then failed in numpy's padding
+    with pytest.raises(ValueError, match="^register size must be an integer, got "):
+        BallotSpace(n, d)
 
 
 def test_ballot_states_are_orthonormal_basis_rays():

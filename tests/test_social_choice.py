@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from arrowq import SizeLimitError, social_choice
+from arrowq import SizeLimitError, clauses, social_choice
 from arrowq._guards import GUARD_ENV, check_power_guard, guard_multiplier
 from arrowq.orders import alternative_pairs, enumerate_orders, order_rank, reverse_order
 from arrowq.social_choice import (
@@ -251,6 +251,16 @@ def test_swept_ranks_match_the_profile_by_profile_outcome(m, n):
 def test_profile_domain_guard():
     with pytest.raises(SizeLimitError):
         profile_domain(2, 7)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: profile_domain(0, 3), lambda: profile_domain(-1, 3), lambda: borda_rule(-2, 3),
+    lambda: constant_rule(0, 3, (0, 1, 2)), lambda: anti_projection_rule(0, 3, 0),
+])
+def test_profile_domain_refuses_fewer_than_one_voter(build):
+    # these builders reach the domain before any size check of their own
+    with pytest.raises(ValueError, match="^need at least one voter and one alternative$"):
+        build()
 
 
 def test_profile_domain_guard_is_checked_past_the_cache(monkeypatch):
@@ -959,10 +969,10 @@ WIDTHS = [2, 3, 4, 127, 128, 129, 200]
 
 
 def literals(width, values, *nogoods):
-    """_propagate's literal table for values (-1 unassigned) and its [width,
-    C] literals 2 * var + bit for width-2 nogoods given as ((var, bit), ...),
-    each followed by width - 2 literals of padding variables, numbered after
-    values, that hold 1."""
+    """clauses.propagate's literal table for values (-1 unassigned) and its
+    [width, C] literals 2 * var + bit for width-2 nogoods given as ((var,
+    bit), ...), each followed by width - 2 literals of padding variables,
+    numbered after values, that hold 1."""
     pad = [(len(values) + i, 1) for i in range(width - 2)]
     sign = np.array([2 * v - 1 if v >= 0 else 0 for v in values] + [1] * len(pad), dtype=np.int8)
     lits = np.array([[2 * v + b for v, b in (*nogood, *pad)] for nogood in nogoods], dtype=np.intp)
@@ -980,17 +990,17 @@ def test_propagate_chain_reaches_fixpoint(width):
     # from the nogood's first literal; the last nogood's x2 = 0 is false,
     # so it forces nothing
     truth, lits = literals(width, [1, -1, -1, -1], ((0, 1), (1, 1)), ((2, 0), (1, 0)), ((2, 0), (3, 1)))
-    assert social_choice._propagate(truth, [lits])
+    assert clauses.propagate(truth, [lits])
     assert assigned(truth, 4) == [1, 0, 1, -1]
 
 
 @pytest.mark.parametrize("width", WIDTHS)
 def test_propagate_all_true_nogood_is_a_conflict(width):
     truth, lits = literals(width, [1, 0], ((0, 1), (1, 0)))
-    assert not social_choice._propagate(truth, [lits])
+    assert not clauses.propagate(truth, [lits])
     # one literal false: the nogood holds and forces nothing
     truth, lits = literals(width, [1, 1], ((0, 1), (1, 0)))
-    assert social_choice._propagate(truth, [lits])
+    assert clauses.propagate(truth, [lits])
     assert assigned(truth, 2) == [1, 1]
 
 
@@ -999,15 +1009,15 @@ def test_propagate_variable_forced_both_ways(width):
     # with x0 = 1 one nogood forces x1 = 0 and the other x1 = 1; the sweep
     # that finds it assigns nothing, x2's forcing included
     truth, lits = literals(width, [1, -1, -1], ((0, 1), (1, 1)), ((0, 1), (1, 0)), ((0, 1), (2, 1)))
-    assert not social_choice._propagate(truth, [lits])
+    assert not clauses.propagate(truth, [lits])
     assert assigned(truth, 3) == [1, -1, -1]
 
 
 def test_propagate_refuses_a_width_its_sums_cannot_hold():
     truth, lits = literals(1 << 15, [1, 0], ((0, 1), (1, 0)))
     with pytest.raises(ValueError, match="^nogood width 32768: "):
-        social_choice._propagate(truth, [lits])
-    assert not social_choice._propagate(truth, [lits[1:]])  # width 32,767: all true
+        clauses.propagate(truth, [lits])
+    assert not clauses.propagate(truth, [lits[1:]])  # width 32,767: all true
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -1019,7 +1029,7 @@ def test_search_on_wide_nogoods_matches_the_brute_force_completions(width):
     truth, lits = literals(width, [-1] * 6, ((0, 1), (1, 1)), ((0, 1), (2, 1)), ((1, 0), (2, 0)),
                            ((3, 1), (4, 1)), ((4, 0), (5, 1)), ((2, 1), (5, 0)))
     values = np.where(truth[1::2] == 0, -1, truth[1::2] > 0).astype(np.int8)
-    leaves, decisions, propagations, conflicts = social_choice._search(values, [lits])
+    leaves, decisions, propagations, conflicts = clauses.search(values, [lits])
     pairs = [[divmod(lit, 2) for lit in column] for column in lits.T.tolist()]
     assert list(map(tuple, leaves.tolist())) == oracles.formula_completions(values.tolist(), pairs)
     # padding variables count as set by values
@@ -1027,7 +1037,7 @@ def test_search_on_wide_nogoods_matches_the_brute_force_completions(width):
 
 
 def random_formula(seed):
-    """A seeded formula for _search: 4-8 variables, up to two of them
+    """A seeded formula for clauses.search: 4-8 variables, up to two of them
     assigned, and one or two [w, C] literal arrays of distinct widths 1-4,
     each nogood on w distinct variables with random bits.  The clause count
     grows with 2^w, so every width meets conflicts."""
@@ -1048,13 +1058,13 @@ def random_formula(seed):
 def test_search_leaves_match_the_brute_force_completions(seed):
     # of these formulas 33 conflict at the root and 45 inside the tree
     values, nogoods = random_formula(seed)
-    leaves = social_choice._search(values, nogoods)[0]
+    leaves = clauses.search(values, nogoods)[0]
     pairs = [[divmod(lit, 2) for lit in lits] for array in nogoods for lits in array.T.tolist()]
     want = oracles.formula_completions(values.tolist(), pairs)
     assert list(map(tuple, leaves.tolist())) == want
 
 
-# frozen: (decisions, propagations, conflicts) of _search on random_formula,
+# frozen: (decisions, propagations, conflicts) of clauses.search on random_formula,
 # computed before the sweep read only the unit columns.  Seeds 2, 5, 9, 12
 # and 14 meet no conflict; 13, 27 and 114 find a nogood with every literal
 # true at the root, and 75, 101 and 107 a variable forced both ways there;
@@ -1072,7 +1082,40 @@ FORMULA_COUNTERS = {
 @pytest.mark.parametrize("seed", FORMULA_COUNTERS)
 def test_search_counters_on_random_formulas(seed):
     values, nogoods = random_formula(seed)
-    assert social_choice._search(values, nogoods)[1:] == FORMULA_COUNTERS[seed]
+    assert clauses.search(values, nogoods)[1:] == FORMULA_COUNTERS[seed]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_search_without_nogoods_lists_every_completion(seed):
+    # no nogood: nothing branches, and the only propagations are values' own
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(0, 11))
+    values = rng.integers(0, 2, size=count).astype(np.int8)
+    values[rng.random(count) < (0, 0.5, 1)[seed % 3]] = -1  # all, some, none assigned
+    leaves, decisions, propagations, conflicts = clauses.search(values, [])
+    assert list(map(tuple, leaves.tolist())) == oracles.formula_completions(values.tolist(), [])
+    assert (decisions, propagations, conflicts) == (0, int(np.count_nonzero(values >= 0)), 0)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_violated_matches_the_brute_force_completions(seed):
+    values, nogoods = random_formula(seed)
+    pairs = [[divmod(lit, 2) for lit in lits] for array in nogoods for lits in array.T.tolist()]
+    solutions = set(oracles.formula_completions([-1] * len(values), pairs))
+    for bits in product((0, 1), repeat=len(values)):
+        assert clauses.violated(np.array(bits, dtype=np.int8), nogoods) == (bits not in solutions)
+
+
+@pytest.mark.parametrize("width", [127, 128, 129, 200])
+def test_violated_on_wide_nogoods_matches_the_brute_force_completions(width):
+    # the padding variables hold 1 in every assignment, as literals() sets them
+    _, lits = literals(width, [-1] * 6, ((0, 1), (1, 1)), ((0, 1), (2, 1)), ((1, 0), (2, 0)),
+                           ((3, 1), (4, 1)), ((4, 0), (5, 1)), ((2, 1), (5, 0)))
+    pad = (1,) * (width - 2)
+    pairs = [[divmod(lit, 2) for lit in column] for column in lits.T.tolist()]
+    solutions = set(oracles.formula_completions([-1] * 6 + list(pad), pairs))
+    for bits in product((0, 1), repeat=6):
+        assert clauses.violated(np.array(bits + pad), [lits]) == (bits + pad not in solutions)
 
 
 # ---- reversible circuit table ----
